@@ -1,8 +1,9 @@
 """Sweep-orchestration overhead benchmark.
 
-Runs the same (trace + sims) job set three times — through the bare
-:func:`repro.parallel.run_jobs` pool, through the full
-:class:`repro.sweep.SweepRunner` stack (per-attempt worker processes,
+Runs the same (trace + sims) job set three times — through a bare
+``ProcessPoolExecutor`` map over :func:`repro.parallel.execute_job`
+(traces warmed serially first, then the sims fanned out), through the
+full :class:`repro.sweep.SweepRunner` stack (per-attempt worker processes,
 journalling with per-record fsync, result-file handoff), and through
 the same sweep stack with run tracing enabled (trace context shipped
 to every worker, span events collected) — and reports orchestration
@@ -19,6 +20,7 @@ fractions via ``check_regression.py --sweep-report BENCH_sweep.json``
 """
 
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 
 def run_bench(
@@ -29,7 +31,7 @@ def run_bench(
 ) -> dict:
     import os
 
-    from repro.parallel import run_jobs
+    from repro.parallel import execute_job
     from repro.sweep.exec import ProcessLauncher, SweepRunner
     from repro.sweep.journal import Journal
     from repro.sweep.spec import SweepSpec, expand
@@ -47,12 +49,23 @@ def run_bench(
     sim_jobs = [job.sim_job() for job in jobs]
     config = spec.config_for(8, cache_dir)
 
+    traces = [job for job in sim_jobs if job.kind == "trace"]
+    sims = [job for job in sim_jobs if job.kind != "trace"]
+
+    def run_traces() -> None:
+        for job in traces:
+            execute_job(job, config)
+
     # Warm the trace cache so neither side times trace synthesis.
-    run_jobs([job for job in sim_jobs if job.kind == "trace"], config, 1)
+    run_traces()
 
     def time_bare() -> float:
         started = time.perf_counter()
-        run_jobs(sim_jobs, config, workers)
+        run_traces()
+        # The default start method, as for the sweep's per-attempt
+        # workers, so the two sides differ only in orchestration.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(execute_job, sims, [config] * len(sims)))
         return time.perf_counter() - started
 
     def time_sweep(round_index: int, traced: bool = False) -> float:
@@ -110,7 +123,7 @@ def main(argv=None) -> int:
     import tempfile
 
     parser = argparse.ArgumentParser(
-        description="Measure SweepRunner overhead over bare run_jobs."
+        description="Measure SweepRunner overhead over a bare process pool."
     )
     parser.add_argument("--out", default="BENCH_sweep.json", help="report path")
     parser.add_argument(

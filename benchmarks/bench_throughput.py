@@ -5,11 +5,10 @@ script for the CI benchmark-regression smoke::
 
     PYTHONPATH=src python benchmarks/bench_throughput.py --out BENCH_parallel.json
 
-The script mode replays a small trace under a policy roster twice —
-serially and fanned out with :func:`repro.parallel.run_policy_sims` —
-and emits a JSON report with accesses/sec per policy plus the serial vs
-parallel wall times, so CI can track both simulator throughput and the
-``--jobs`` engine's overhead over time.
+The script mode replays one small frame under a policy roster with
+:func:`repro.sim.offline.simulate_trace` and emits a JSON report with
+replay accesses/sec per policy, which ``check_regression.py`` gates
+against the committed ``BENCH_baseline.json``.
 """
 
 from repro.config import CacheParams, KB, LLCConfig
@@ -95,42 +94,20 @@ if pytest is not None:
 SMOKE_POLICIES = ("drrip", "nru", "gspc", "gspc+ucd", "belady")
 
 
-def run_smoke(jobs: int = 2, scale: float = 0.0625) -> dict:
-    """Serial vs parallel replay of one small frame; returns the report."""
-    import time
-
+def run_smoke(scale: float = 0.0625) -> dict:
+    """Replay one small frame under each smoke policy; returns the report."""
     from repro.config import paper_baseline
-    from repro.parallel import resolve_jobs, run_policy_sims
-    from repro.workloads.apps import ALL_APPS
-    from repro.workloads.framegen import generate_frame_trace
 
-    workers = resolve_jobs(jobs)
     trace = generate_frame_trace(ALL_APPS[0], 0, scale)
     llc = paper_baseline(llc_mb=8, scale=scale).llc
-
-    started = time.perf_counter()
-    serial = run_policy_sims(trace, SMOKE_POLICIES, llc, workers=1)
-    serial_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    parallel = run_policy_sims(trace, SMOKE_POLICIES, llc, workers=workers)
-    parallel_seconds = time.perf_counter() - started
-
-    for (_, a, *_), (_, b, *_) in zip(serial, parallel):
-        assert a.stats.snapshot() == b.stats.snapshot(), (
-            f"serial/parallel divergence under {a.policy}"
-        )
+    results = [simulate_trace(trace, policy, llc) for policy in SMOKE_POLICIES]
     return {
         "trace": {"name": trace.meta.get("name"), "accesses": len(trace)},
         "scale": scale,
-        "workers": workers,
         "policies": list(SMOKE_POLICIES),
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
-        "speedup": serial_seconds / parallel_seconds if parallel_seconds else 1.0,
         "accesses_per_second": {
-            name: result.replay_accesses_per_second
-            for name, result, *_ in serial
+            result.policy: result.replay_accesses_per_second
+            for result in results
         },
     }
 
@@ -140,26 +117,23 @@ def main(argv=None) -> int:
     import json
 
     parser = argparse.ArgumentParser(
-        description="Benchmark-regression smoke: serial vs parallel replay."
+        description="Benchmark-regression smoke: per-policy replay throughput."
     )
     parser.add_argument(
         "--out", default="BENCH_parallel.json", help="report path"
     )
-    parser.add_argument("--jobs", type=int, default=2, help="worker count")
     parser.add_argument(
         "--scale", type=float, default=0.0625, help="linear frame scale"
     )
     args = parser.parse_args(argv)
-    report = run_smoke(jobs=args.jobs, scale=args.scale)
+    report = run_smoke(scale=args.scale)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
     slowest = min(report["accesses_per_second"].values())
     print(
         f"wrote {args.out}: {report['trace']['accesses']:,} accesses, "
-        f"serial {report['serial_seconds']:.2f}s vs parallel "
-        f"{report['parallel_seconds']:.2f}s "
-        f"(x{report['speedup']:.2f}, slowest policy {slowest:,.0f} acc/s)"
+        f"slowest policy {slowest:,.0f} acc/s"
     )
     return 0
 

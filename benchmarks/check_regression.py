@@ -17,7 +17,7 @@ performance change.
 
 ``--sweep-report BENCH_sweep.json`` additionally (or, with
 ``--sweep-only``, exclusively) gates the sweep orchestrator's overhead
-over bare ``run_jobs`` (see ``bench_sweep.py``) against
+over a bare process pool (see ``bench_sweep.py``) against
 ``--sweep-overhead-limit`` (default 5%).  When the report carries a
 ``traced_overhead_fraction`` (tracing-enabled sweep vs plain sweep),
 that fraction is held to the same limit.

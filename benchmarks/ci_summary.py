@@ -51,12 +51,7 @@ def section_parallel(path: str) -> None:
     report = _load(path)
     if report is None:
         return
-    print("## Parallel throughput\n")
-    print(
-        f"serial {report['serial_seconds']:.2f}s vs parallel "
-        f"{report['parallel_seconds']:.2f}s with {report['workers']} "
-        f"workers (x{report['speedup']:.2f})\n"
-    )
+    print("## Replay throughput\n")
     print("| policy | accesses/s |")
     print("|---|---:|")
     for policy, rate in sorted(report.get("accesses_per_second", {}).items()):
@@ -71,7 +66,7 @@ def section_sweep(path: str) -> None:
     print("## Sweep orchestration overhead\n")
     print("| side | seconds (min) | overhead |")
     print("|---|---:|---:|")
-    print(f"| bare run_jobs | {report['bare_min']:.2f} | — |")
+    print(f"| bare process pool | {report['bare_min']:.2f} | — |")
     print(
         f"| sweep stack | {report['sweep_min']:.2f} "
         f"| {report['overhead_fraction']:+.1%} |"

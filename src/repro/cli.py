@@ -11,12 +11,15 @@ Examples::
     gspc-sim --app HAWX --frame 2 --scale 0.0625 --timing
     gspc-sim --app DMC --save-trace dmc0.npz
     gspc-sim --app AssnCreed --policies drrip gspc+ucd --metrics-out out/
-    gspc-sim --app Heaven --policies drrip nru gspc belady --jobs 4
+
+Policies replay one after another in this process; ``gspc-sweep`` is
+the parallel multi-policy path.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -29,9 +32,11 @@ from repro.core.registry import available_policies
 from repro.errors import ReproError
 from repro.gpu.timing import FrameTimingSimulator
 from repro.obs import log as obs_log
-from repro.fastsim.dispatch import ENGINE_AUTO, ENGINES
+from repro.fastsim.dispatch import ENGINE_AUTO, ENGINE_FAST, ENGINES, choose_engine
 from repro.obs.manifest import sim_manifest, timing_manifest, write_manifest
-from repro.parallel import resolve_jobs, run_policy_sims
+from repro.obs.spans import SpanRecorder
+from repro.obs.tracing import TraceContext
+from repro.sim.offline import simulate_trace
 from repro.trace.io import load_trace, save_trace, trace_format
 from repro.trace.record import Trace
 from repro.trace.sources import SOURCE_SYNTHETIC, resolve_source, \
@@ -103,14 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-policies", action="store_true", help="list known policies"
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="simulate policies in N worker processes "
-        "(0 = one per CPU; default: serial)",
-    )
-    parser.add_argument(
         "--engine",
         choices=ENGINES,
         default=ENGINE_AUTO,
@@ -168,6 +165,44 @@ def _resolve_trace(args: argparse.Namespace) -> Trace:
     return source.frame_trace(workload, args.frame, args.scale)
 
 
+def _simulate(
+    trace: Trace, policy: str, llc, args: argparse.Namespace,
+    ctx: TraceContext,
+):
+    """Replay one policy with the telemetry the flags ask for.
+
+    Returns ``(SimResult, observer, spans, engine_used)``, where
+    ``engine_used`` is the resolved ``"reference"``/``"fast"``.
+    """
+    from repro.obs.events import SamplingObserver
+
+    # An explicit --engine fast wins over telemetry: the fast kernels
+    # have no observer hooks, so such runs record spans but no events.
+    # Under auto, telemetry keeps the observer and therefore routes the
+    # policy to the reference engine.
+    observer = (
+        SamplingObserver()
+        if args.metrics_out and args.engine != ENGINE_FAST
+        else None
+    )
+    spans = SpanRecorder() if args.metrics_out or args.trace_out else None
+    engine_used = choose_engine(args.engine, policy, observer)
+    root = contextlib.nullcontext()
+    if args.trace_out:
+        spans.enable_events(
+            context=ctx.child(f"sim:{policy}"),
+            sample_period=args.trace_sample,
+        )
+        # Root span = the policy's whole replay, one top-level event.
+        root = spans.span("sim")
+    with root:
+        result = simulate_trace(
+            trace, policy, llc, observer=observer, spans=spans,
+            engine=args.engine,
+        )
+    return result, observer, spans, engine_used
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -177,7 +212,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     logger = obs_log.get_logger("cli")
     try:
-        workers = resolve_jobs(args.jobs)
         if args.trace_sample < 1:
             raise ReproError(
                 f"--trace-sample must be >= 1, got {args.trace_sample}"
@@ -229,30 +263,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         ["Policy", "Misses", "vs baseline", "Hit rate", "TEX hit", "RT->TEX"],
     )
     baseline = None
-    #: policy -> (SimResult, events summary, flat spans) for manifests.
-    telemetry = {}
-    if workers > 1:
-        print(f"parallel: {len(args.policies)} policies over {workers} workers")
     wall_started = time.perf_counter()
     try:
-        # Fans out over worker processes when --jobs > 1; results come
-        # back in --policies order either way, so the table (and the
-        # baseline normalization) is identical to a serial run.
-        outcomes = run_policy_sims(
-            trace,
-            args.policies,
-            system.llc,
-            workers,
-            telemetry=bool(args.metrics_out),
-            engine=args.engine,
-            trace_ctx=ctx if args.trace_out else None,
-            trace_sample=args.trace_sample,
-        )
+        runs = [
+            _simulate(trace, policy, system.llc, args, ctx)
+            for policy in args.policies
+        ]
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall_seconds = time.perf_counter() - wall_started
-    for name, result, events_summary, spans_flat, engine_used, _ in outcomes:
+    for result, *_ in runs:
         logger.info(
             "%s: %d misses, %.0f accesses/s replay",
             result.policy,
@@ -261,13 +282,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         if baseline is None:
             baseline = result
-        if args.metrics_out:
-            telemetry[result.policy] = (
-                result,
-                events_summary,
-                spans_flat,
-                engine_used,
-            )
         stats = result.stats
         table.add_row(
             result.policy.upper(),
@@ -277,25 +291,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             stats.tex_hit_rate,
             stats.rt_consumption_rate,
         )
-    parallel_section = None
-    if workers > 1:
-        serial_estimate = sum(
-            result.elapsed_seconds for _, result, _, _, _, _ in outcomes
-        )
-        parallel_section = {
-            "workers": workers,
-            "jobs": len(outcomes),
-            "wall_seconds": wall_seconds,
-            "serial_seconds_estimate": serial_estimate,
-            "speedup": (
-                serial_estimate / wall_seconds if wall_seconds > 0 else 1.0
-            ),
-            "per_job": [
-                {"job": f"sim {result.workload_name} {name}",
-                 "seconds": result.elapsed_seconds}
-                for name, result, _, _, _, _ in outcomes
-            ],
-        }
     print()
     print(table.render())
     manifest_config = {
@@ -324,18 +319,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print()
         print(timing_table.render())
     if args.metrics_out:
-        for policy, (
-            result,
-            events_summary,
-            spans_flat,
-            engine_used,
-        ) in telemetry.items():
+        for result, observer, spans, engine_used in runs:
             manifest = sim_manifest(
                 result,
                 config=manifest_config,
-                events_summary=events_summary,
-                spans_flat=spans_flat,
-                parallel=parallel_section,
+                observer=observer,
+                spans=spans,
                 engine=engine_used,
             )
             path = write_manifest(manifest, args.metrics_out)
@@ -350,8 +339,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.obs.traceexport import build_chrome_trace, write_trace_file
 
         events = [
-            event for _, _, _, _, _, trace_events in outcomes
-            for event in trace_events
+            event for _, _, spans, _ in runs for event in spans.events_payload()
         ]
         chrome = build_chrome_trace(
             events,
@@ -366,11 +354,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.obs.traceexport import write_metrics_text
 
         registry = MetricsRegistry()
-        registry.counter("sim.policies").inc(len(outcomes))
+        registry.counter("sim.policies").inc(len(runs))
         registry.counter("sim.trace.accesses").inc(len(trace))
         registry.gauge("sim.wall_seconds").set(wall_seconds)
         replay_rate = registry.histogram("sim.replay_seconds")
-        for _, result, _, _, _, _ in outcomes:
+        for result, *_ in runs:
             registry.counter(f"sim.misses.{result.policy}").inc(result.misses)
             replay_rate.observe(result.replay_seconds)
         write_metrics_text(

@@ -93,15 +93,11 @@ def frame_trace(spec: FrameSpec, config: ExperimentConfig) -> Trace:
     if token:
         traces_dir = os.path.join(traces_dir, token)
     path = os.path.join(traces_dir, stem + ".gsct")
-    # Columnar entries memmap zero-copy; pre-columnar caches left behind
-    # ``.npz`` entries, which stay readable instead of being regenerated.
-    legacy = os.path.join(traces_dir, stem + ".npz")
-    for candidate in (path, legacy):
-        if os.path.exists(candidate):
-            try:
-                return load_trace(candidate)
-            except ReproError:
-                pass  # stale/corrupt cache entry: regenerate below
+    if os.path.exists(path):
+        try:
+            return load_trace(path)  # columnar: memmapped zero-copy
+        except ReproError:
+            pass  # stale/corrupt cache entry: regenerate below
     trace = source.frame_trace(spec.app.abbrev, spec.frame_index, config.scale)
     save_trace(trace, path)
     return trace
@@ -164,8 +160,9 @@ def seed_frame_result(
 ) -> None:
     """Inject a precomputed :func:`frame_result` into the in-process cache.
 
-    Used by :mod:`repro.parallel` to publish worker-process results so a
-    subsequent serial :meth:`Experiment.run` replays entirely from cache.
+    Used by ``gspc-experiments --jobs`` to publish worker-process results
+    so a subsequent serial :meth:`Experiment.run` replays entirely from
+    cache.
     """
     _SIM_CACHE[_cache_key(spec, policy, config)] = result
 
@@ -211,8 +208,8 @@ class Experiment:
 
     ``sim_policies`` / ``char_policies`` declare the per-frame
     :func:`frame_result` / :func:`frame_characterization` calls the
-    experiment will issue, so :mod:`repro.parallel` can precompute them
-    in worker processes.  ``needs_traces`` marks experiments that read
+    experiment will issue, so ``gspc-experiments --jobs`` can precompute
+    them in worker processes.  ``needs_traces`` marks experiments that read
     frame traces at all (``False`` for pure-metadata tables), letting
     the planner skip the trace-generation wave entirely.  Declarations
     are an optimization hint, never a correctness requirement: anything

@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.config import DEFAULT_SCALE
 from repro.errors import ReproError
@@ -28,10 +29,12 @@ from repro.fastsim.dispatch import ENGINE_AUTO, ENGINES
 from repro.obs import log as obs_log
 from repro.obs.manifest import experiment_manifest, write_manifest
 from repro.obs.spans import SpanRecorder
+from repro.obs.tracing import TraceContext
 from repro.parallel import (
+    JobOutcome,
+    SimJob,
     plan_for_experiment,
     resolve_jobs,
-    run_jobs,
     seed_outcomes,
 )
 
@@ -124,9 +127,92 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _job_progress(completed: int, total: int, outcome) -> None:
-    """Ordered ``[k/N]`` per-job line (counter assigned at completion)."""
-    print(f"  [{completed}/{total}] {outcome.job.label} ({outcome.seconds:.2f}s)")
+def _job_progress(message: str) -> None:
+    """The sweep runner's ``[k/N]`` per-job line (counted at completion)."""
+    print(f"  {message}")
+
+
+def run_plan(
+    plan: Sequence[SimJob],
+    config: ExperimentConfig,
+    workers: int,
+    progress: Optional[Callable[[str], None]] = None,
+    trace_ctx: Optional[TraceContext] = None,
+    trace_sample: int = 1,
+) -> List[JobOutcome]:
+    """Run an experiment plan on the sweep engine and seed the caches.
+
+    Every attempt runs in a process of its own under
+    :class:`~repro.sweep.SweepRunner` (default retries, no timeout,
+    ``$REPRO_FAULT_SPEC`` honoured), and each sim/char job waits for its
+    frame's trace job.  The journal and the result handoff files live
+    in a temporary directory.  Returns the completed jobs' outcomes in
+    plan order, already seeded into the in-process caches; a job that
+    failed permanently is left to the serial table build, which
+    recomputes it in-process.
+    """
+    from repro.faults import FaultSpec
+    from repro.sweep.exec import ProcessLauncher, SweepRunner
+    from repro.sweep.journal import Journal, journal_path
+    from repro.sweep.spec import SweepJob
+    from repro.sweep.worker import result_value
+
+    jobs = [
+        SweepJob(
+            job.kind, job.app, job.frame_index, job.policy,
+            config.llc_mb if job.policy else 0,
+            deps=(
+                (SweepJob("trace", job.app, job.frame_index).job_id,)
+                if job.policy else ()
+            ),
+        )
+        for job in plan
+    ]
+    finished = {}
+
+    def keep(sweep_job, result) -> None:
+        job = sweep_job.sim_job()
+        finished[job] = JobOutcome(
+            job, result_value(result.pickled), result.seconds,
+            result.spans or {}, result.events,
+        )
+
+    with tempfile.TemporaryDirectory(prefix="gspc-experiments-") as tmp:
+        launcher = ProcessLauncher(
+            config, config.cache_dir, tmp, FaultSpec.from_env(),
+            trace_ctx=trace_ctx, trace_sample=trace_sample,
+        )
+        with Journal(journal_path(tmp)) as journal:
+            SweepRunner(
+                jobs, launcher, journal, workers=workers, progress=progress,
+                on_result=keep,
+            ).run()
+    outcomes = [finished[job] for job in plan if job in finished]
+    seed_outcomes(outcomes, config)
+    return outcomes
+
+
+def parallel_section(
+    workers: int, wall_seconds: float, outcomes: Sequence[JobOutcome]
+) -> dict:
+    """The run manifest's ``parallel`` section for one :func:`run_plan`."""
+    serial = sum(outcome.seconds for outcome in outcomes)
+    return {
+        "workers": workers,
+        "jobs": len(outcomes),
+        "wall_seconds": wall_seconds,
+        # Sum of per-job wall times ≈ what a serial run would cost.
+        "serial_seconds_estimate": serial,
+        "speedup": serial / wall_seconds if wall_seconds > 0 else 1.0,
+        "per_job": [
+            {
+                "job": outcome.job.label,
+                "seconds": outcome.seconds,
+                "spans": outcome.spans,
+            }
+            for outcome in outcomes
+        ],
+    }
 
 
 def run_experiments(
@@ -156,41 +242,49 @@ def run_experiments(
                 context=ctx.child(experiment.id),
             )
         started = time.perf_counter()
-        report = None
+        outcomes: List[JobOutcome] = []
+        parallel = None
         # try/finally so an experiment that raises cannot leave the
         # recorder with open spans (and skew the others' aggregates).
         try:
-            if workers > 1:
-                plan = plan_for_experiment(experiment, config)
-                if plan:
-                    logger.info(
-                        "%s: fanning %d jobs over %d workers",
-                        experiment.id, len(plan), workers,
+            plan = plan_for_experiment(experiment, config) if workers > 1 else []
+            if plan:
+                logger.info(
+                    "%s: fanning %d jobs over %d workers",
+                    experiment.id, len(plan), workers,
+                )
+                print(f"parallel: {len(plan)} jobs over {workers} workers")
+                plan_started = time.perf_counter()
+                with spans.span("parallel"):
+                    outcomes = run_plan(
+                        plan, config, workers, progress=_job_progress,
+                        trace_ctx=ctx if trace_out else None,
+                        trace_sample=trace_sample,
                     )
-                    print(f"parallel: {len(plan)} jobs over {workers} workers")
-                    with spans.span("parallel"):
-                        report = run_jobs(
-                            plan, config, workers, progress=_job_progress,
-                            trace_ctx=ctx if trace_out else None,
-                            trace_sample=trace_sample,
-                        )
-                    seed_outcomes(report.outcomes, config)
-                    logger.info(
-                        "%s: parallel wave done in %.2fs (serial estimate "
-                        "%.2fs, speedup %.2fx)",
-                        experiment.id,
-                        report.wall_seconds,
-                        report.serial_seconds_estimate,
-                        report.speedup,
+                parallel = parallel_section(
+                    workers, time.perf_counter() - plan_started, outcomes
+                )
+                if len(outcomes) < len(plan):
+                    print(
+                        f"parallel: {len(plan) - len(outcomes)} job(s) "
+                        "failed permanently; computing them in-process"
                     )
+                logger.info(
+                    "%s: parallel jobs done in %.2fs (serial estimate "
+                    "%.2fs, speedup %.2fx)",
+                    experiment.id,
+                    parallel["wall_seconds"],
+                    parallel["serial_seconds_estimate"],
+                    parallel["speedup"],
+                )
             with spans.span("run"):
                 tables = experiment.run(config)
         finally:
             spans.abandon_open_spans()
             if trace_out:
                 collected_events.extend(spans.events_payload())
-                if report is not None:
-                    collected_events.extend(report.events())
+                for outcome in outcomes:
+                    collected_events.extend(outcome.events)
         elapsed = time.perf_counter() - started
         for table_index, table in enumerate(tables):
             print()
@@ -210,7 +304,7 @@ def run_experiments(
                 elapsed_seconds=elapsed,
                 tables=tables,
                 spans=spans,
-                parallel=report.manifest_section() if report else None,
+                parallel=parallel,
             )
             path = write_manifest(manifest, metrics_dir)
             print(f"wrote {path}")
@@ -255,6 +349,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         workers = resolve_jobs(args.jobs)
+        if workers > 1:
+            from repro.faults import FaultSpec
+
+            FaultSpec.from_env()  # a malformed $REPRO_FAULT_SPEC fails here
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,9 @@
 """Deterministic fault injection for orchestration testing.
 
-The sweep engine (and, through :func:`repro.parallel.jobs.execute_job`,
-the plain ``--jobs`` pool) can be told to misbehave on purpose so that
-the retry, timeout, and journal-recovery paths are testable in CI
-instead of only firing on real production incidents.  A
+The sweep engine (and with it ``gspc-experiments --jobs``, which runs
+on the same engine) can be told to misbehave on purpose so that the
+retry, timeout, and journal-recovery paths are testable in CI instead
+of only firing on real production incidents.  A
 :class:`FaultSpec` names one job — by plan ordinal or by a substring of
 its job id — plus a fault kind and the attempt(s) on which it fires:
 

@@ -84,7 +84,6 @@ def _phases(
     setup_seconds: float,
     replay_seconds: float,
     spans: Optional[SpanRecorder] = None,
-    spans_flat: Optional[Mapping[str, object]] = None,
 ) -> Dict[str, object]:
     phases: Dict[str, object] = {
         "setup_seconds": setup_seconds,
@@ -93,9 +92,6 @@ def _phases(
     }
     if spans is not None:
         phases["spans"] = spans.flat()
-    elif spans_flat is not None:
-        # Spans recorded in a worker process arrive pre-flattened.
-        phases["spans"] = dict(spans_flat)
     return phases
 
 
@@ -115,37 +111,26 @@ def sim_manifest(
     observer: Optional[SamplingObserver] = None,
     spans: Optional[SpanRecorder] = None,
     extras: Optional[Mapping[str, object]] = None,
-    events_summary: Optional[Mapping[str, object]] = None,
-    spans_flat: Optional[Mapping[str, object]] = None,
-    parallel: Optional[Mapping[str, object]] = None,
     engine: Optional[str] = None,
 ) -> Dict[str, object]:
     """Manifest for one :class:`~repro.sim.results.SimResult`.
 
-    Telemetry can arrive either as live ``observer`` / ``spans`` objects
-    (serial runs) or as the pre-serialized ``events_summary`` /
-    ``spans_flat`` a ``--jobs`` worker shipped back across the process
-    boundary.  ``parallel`` attaches the execution report of the run
-    that produced this result.  ``engine`` records which replay engine
-    produced the result (``"reference"`` or ``"fast"``, never the
-    unresolved ``"auto"``).
+    ``observer`` / ``spans`` are the run's live telemetry objects.
+    ``engine`` records which replay engine produced the result
+    (``"reference"`` or ``"fast"``, never the unresolved ``"auto"``).
     """
     manifest = _envelope(
         "offline-sim",
         config,
-        _phases(result.setup_seconds, result.replay_seconds, spans, spans_flat),
+        _phases(result.setup_seconds, result.replay_seconds, spans),
     )
-    if observer is not None:
-        events_summary = observer.summary()
     manifest.update(
         policy=result.policy,
         trace={"accesses": result.accesses, **_jsonable(result.trace_meta)},
         metrics=_jsonable(result.stats.snapshot()),
-        events=_jsonable(events_summary) if events_summary is not None else None,
+        events=_jsonable(observer.summary()) if observer is not None else None,
         extras=_jsonable(dict(result.extras, **(extras or {}))),
     )
-    if parallel is not None:
-        manifest["parallel"] = _jsonable(parallel)
     if engine is not None:
         manifest["engine"] = engine
     return manifest
@@ -183,9 +168,8 @@ def experiment_manifest(
     """Manifest for one registered experiment run.
 
     ``parallel``, when the experiment ran under ``--jobs``, records the
-    :meth:`~repro.parallel.pool.ParallelReport.manifest_section` —
-    worker count, per-job wall times, and the speedup over the
-    estimated serial time.
+    :func:`~repro.experiments.runner.parallel_section` — worker count,
+    per-job wall times, and the speedup over the estimated serial time.
     """
     manifest = _envelope(
         "experiment", config, _phases(0.0, elapsed_seconds, spans)

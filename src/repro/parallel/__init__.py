@@ -1,8 +1,9 @@
-"""Parallel experiment execution (the ``--jobs`` engine).
+"""Experiment job decomposition (the unit of work behind ``--jobs``).
 
-Decomposes experiments into independent (app, frame, policy) simulation
-jobs, fans them out over a process pool, and publishes the results into
-the in-process experiment caches so the subsequent serial table build is
+Decomposes experiments into independent (app, frame, policy) jobs.
+``gspc-experiments --jobs N`` runs them on :mod:`repro.sweep`'s
+:class:`~repro.sweep.SweepRunner` and publishes the results into the
+in-process experiment caches, so the subsequent serial table build is
 byte-identical to a fully serial run.  See ``docs/parallel.md``.
 """
 
@@ -11,23 +12,15 @@ from repro.parallel.jobs import (
     SimJob,
     execute_job,
     plan_for_experiment,
-    seed_outcomes,
-)
-from repro.parallel.pool import (
-    ParallelReport,
     resolve_jobs,
-    run_jobs,
-    run_policy_sims,
+    seed_outcomes,
 )
 
 __all__ = [
     "JobOutcome",
-    "ParallelReport",
     "SimJob",
     "execute_job",
     "plan_for_experiment",
     "resolve_jobs",
-    "run_jobs",
-    "run_policy_sims",
     "seed_outcomes",
 ]

@@ -11,21 +11,17 @@ decomposes into independent :class:`SimJob` payloads:
 
 :func:`plan_for_experiment` derives the job list from the declarations
 an experiment makes at :func:`~repro.experiments.common.register` time.
-The plan is deduplicated and deterministically ordered; trace jobs form
-a first *wave* so that every frame is generated exactly once before the
-sim/char wave fans out (workers then load it from the on-disk cache
-instead of regenerating it per policy).
-
-Every payload here is spawn-safe: :func:`execute_job` is a module-level
-function and both :class:`SimJob` and
-:class:`~repro.experiments.common.ExperimentConfig` are small frozen
-dataclasses, so they pickle cleanly under any multiprocessing start
-method.
+The plan is deduplicated and deterministically ordered, trace jobs
+first.  :func:`execute_job` runs one job; the sweep engine's worker
+(:mod:`repro.sweep.worker`) calls it once per attempt, in a process of
+its own, for ``gspc-experiments --jobs``, ``gspc-sweep`` and
+``gspc-serve`` alike.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import time
 from typing import List, Optional, Sequence
 
@@ -42,8 +38,21 @@ from repro.obs.spans import SpanRecorder
 from repro.obs.tracing import TraceContext
 from repro.workloads.apps import FrameSpec, app_by_name
 
-#: Job kinds in wave order: traces first, then simulations.
+#: Job kinds in plan order: traces first, then simulations.
 JOB_KINDS = ("trace", "sim", "char")
+
+
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Validate a ``--jobs`` value; ``0`` means one worker per CPU."""
+    if jobs is None:
+        return 1
+    if jobs < 0:
+        raise ParallelError(
+            f"--jobs must be >= 0 (0 = one worker per CPU), got {jobs}"
+        )
+    if jobs == 0:
+        return os.cpu_count() or 1
+    return jobs
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -114,7 +123,7 @@ def plan_for_experiment(
     frames = config.frames() if experiment.needs_traces else []
     jobs: List[SimJob] = []
     if frames and config.cache_dir is not None:
-        # Wave 1: each frame generated exactly once, published via the
+        # Each frame generated exactly once, published via the
         # concurrency-safe disk cache.  Pointless without a cache — the
         # generated trace could not reach the other workers.
         jobs.extend(
@@ -131,7 +140,7 @@ def plan_for_experiment(
             SimJob("char", spec.app.abbrev, spec.frame_index, policy)
             for spec in frames
         )
-    # Dedup preserving wave order; sort within a kind for determinism.
+    # Dedup preserving kind order; sort within a kind for determinism.
     unique = sorted(set(jobs), key=lambda j: (JOB_KINDS.index(j.kind), j))
     return unique
 
@@ -139,36 +148,25 @@ def plan_for_experiment(
 def execute_job(
     job: SimJob,
     config: ExperimentConfig,
-    inject: Optional[str] = None,
     trace_ctx: Optional[TraceContext] = None,
     trace_sample: int = 1,
 ) -> JobOutcome:
     """Run one job to completion (worker-process entry point).
 
-    ``inject`` threads deterministic fault injection (see
-    :mod:`repro.faults`) through the entry point: ``"crash"`` hard-exits
-    the process, ``"hang"`` sleeps past any deadline.  ``"corrupt"`` is
-    payload-level and ignored here — only the sweep worker, which owns a
-    serialized result payload, can apply it.
-
-    ``trace_ctx`` switches the recorder into event mode: every span this
-    job runs (wrapped under a root span named after the job kind, so the
-    worker's busy time has one top-level event) comes back in
-    :attr:`JobOutcome.events`, stamped with a per-job child context —
-    the raw material of the run's merged Chrome/Perfetto timeline.
+    ``trace_ctx`` — the attempt's context, already narrowed to this job
+    by the launcher — switches the recorder into event mode: every span
+    this job runs (wrapped under a root span named after the job kind,
+    so the worker's busy time has one top-level event) comes back in
+    :attr:`JobOutcome.events`, stamped with that context — the raw
+    material of the run's merged Chrome/Perfetto timeline.
     ``trace_sample`` keeps every N-th completed span (overhead knob).
     """
-    if inject in ("crash", "hang"):
-        from repro import faults
-
-        faults.fire(inject)
     spans = SpanRecorder()
     if trace_ctx is not None:
         from repro.obs import tracing
 
-        child = trace_ctx.child(job.job_id) if not trace_ctx.job_id else trace_ctx
-        tracing.activate(child)
-        spans.enable_events(context=child, sample_period=trace_sample)
+        tracing.activate(trace_ctx)
+        spans.enable_events(context=trace_ctx, sample_period=trace_sample)
     started = time.perf_counter()
     spec = job.spec(config)
     with spans.span(job.kind):

@@ -1,11 +1,14 @@
 """Fault-tolerant, resumable sweep orchestration.
 
-Layers on :mod:`repro.parallel`: a declarative :class:`SweepSpec`
-expands into a job DAG (:func:`expand`), a :class:`SweepRunner` drives
-it with per-job timeouts and bounded exponential-backoff retries, and a
-crash-safe journal (:mod:`repro.sweep.journal`) makes any interrupted
-run resumable with byte-identical final artifacts.  The ``gspc-sweep``
-CLI (:mod:`repro.sweep.cli`) fronts it all.
+The repo's one job executor.  Its unit of work is
+:mod:`repro.parallel`'s ``SimJob`` / ``execute_job``: a declarative
+:class:`SweepSpec` expands into a job DAG (:func:`expand`), a
+:class:`SweepRunner` drives it with per-job timeouts and bounded
+exponential-backoff retries, and a crash-safe journal
+(:mod:`repro.sweep.journal`) makes any interrupted run resumable with
+byte-identical final artifacts.  The ``gspc-sweep`` CLI
+(:mod:`repro.sweep.cli`) fronts it all; ``gspc-serve`` and
+``gspc-experiments --jobs`` run their jobs on the same runner.
 """
 
 from repro.sweep.exec import (

@@ -31,12 +31,14 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import multiprocessing
+import multiprocessing.connection
 import os
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SweepError
+from repro.experiments.common import ExperimentConfig
 from repro.faults import FaultSpec
 from repro.obs.tracing import TraceCollector, TraceContext
 from repro.sweep.journal import Journal, JournalState, RECORD_VERSION
@@ -103,6 +105,10 @@ class AttemptResult:
     pid: int = 0
     spans: Optional[Dict[str, object]] = None
     events: List[Dict[str, object]] = dataclasses.field(default_factory=list)
+    #: The job's result object (``SimResult`` / ``FrameCharacterization``;
+    #: ``None`` for traces), pickled as shipped in the envelope; callers
+    #: that want it decode it with :func:`~repro.sweep.worker.result_value`.
+    pickled: Optional[str] = None
 
 
 @dataclasses.dataclass
@@ -136,11 +142,16 @@ class _ProcessHandle:
 
 
 class ProcessLauncher:
-    """One isolated process per attempt, results via checksummed files."""
+    """One isolated process per attempt, results via checksummed files.
+
+    ``spec`` supplies the run-wide scale, engine and trace source: a
+    :class:`SweepSpec`, or the :class:`ExperimentConfig` of a
+    ``gspc-experiments --jobs`` plan.
+    """
 
     def __init__(
         self,
-        spec: SweepSpec,
+        spec: Union[SweepSpec, ExperimentConfig],
         cache_dir: Optional[str],
         tmp_dir: str,
         fault: Optional[FaultSpec] = None,
@@ -208,6 +219,7 @@ class ProcessLauncher:
                 pid=int(envelope.get("pid", 0) or 0),  # type: ignore[arg-type]
                 spans=spans if isinstance(spans, dict) else None,
                 events=list(events) if isinstance(events, list) else [],
+                pickled=envelope.get("value"),  # type: ignore[arg-type]
             )
         finally:
             if os.path.exists(handle.out_path):
@@ -265,6 +277,7 @@ class SweepRunner:
         progress: Optional[Callable[[str], None]] = None,
         collector: Optional[TraceCollector] = None,
         wall: Callable[[], float] = time.time,
+        on_result: Optional[Callable[[SweepJob, AttemptResult], None]] = None,
     ):
         if workers < 1:
             raise SweepError(f"worker count must be >= 1, got {workers}")
@@ -285,6 +298,9 @@ class SweepRunner:
         #: worker shipped back in its result envelope.
         self.collector = collector
         self.wall = wall
+        #: Called with every successful attempt once it is journalled;
+        #: the only way to its envelope's telemetry and result object.
+        self.on_result = on_result
 
     def _say(self, message: str) -> None:
         if self.progress is not None:
@@ -425,6 +441,8 @@ class SweepRunner:
                         }
                     )
                     completed[job_id] = result.payload or {}
+                    if self.on_result is not None:
+                        self.on_result(entry.job, result)
                     done_count += 1
                     self._say(
                         f"[{done_count}/{total}] {job_id} ok "

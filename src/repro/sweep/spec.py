@@ -27,7 +27,7 @@ from repro.core.registry import UCD_SUFFIX, available_policies
 from repro.errors import ReproError, SourceError, SweepError
 from repro.experiments.common import ExperimentConfig
 from repro.fastsim.dispatch import ENGINES
-from repro.parallel.jobs import SimJob
+from repro.parallel.jobs import JOB_KINDS, SimJob
 from repro.trace.sources import (
     SOURCE_SYNTHETIC,
     resolve_source,
@@ -209,9 +209,10 @@ class SweepSpec:
 
 @dataclasses.dataclass(frozen=True, order=True)
 class SweepJob:
-    """One node of the sweep DAG (a geometry-qualified ``SimJob``)."""
+    """One node of the sweep DAG (a geometry-qualified ``SimJob``);
+    ``char`` nodes come only from ``gspc-experiments --jobs`` plans."""
 
-    kind: str  # "trace" | "sim"
+    kind: str  # "trace" | "sim" | "char"
     app: str
     frame_index: int
     policy: str = ""
@@ -220,16 +221,21 @@ class SweepJob:
     deps: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("trace", "sim"):
+        if self.kind not in JOB_KINDS:
             raise SweepError(f"unknown sweep job kind {self.kind!r}")
-        if self.kind == "sim" and (not self.policy or self.llc_mb < 1):
-            raise SweepError(f"sim job needs a policy and geometry: {self}")
+        if self.kind != "trace" and (not self.policy or self.llc_mb < 1):
+            raise SweepError(
+                f"{self.kind} job needs a policy and geometry: {self}"
+            )
 
     @property
     def job_id(self) -> str:
         if self.kind == "trace":
             return f"trace:{self.app}:f{self.frame_index}"
-        return f"sim:{self.app}:f{self.frame_index}:{self.policy}:llc{self.llc_mb}"
+        return (
+            f"{self.kind}:{self.app}:f{self.frame_index}:{self.policy}"
+            f":llc{self.llc_mb}"
+        )
 
     def sim_job(self) -> SimJob:
         """The :mod:`repro.parallel` payload this node executes."""

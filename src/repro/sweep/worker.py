@@ -3,11 +3,13 @@
 The orchestrator hands each attempt a plain-dict payload (spawn-safe
 under any multiprocessing start method) plus an output path.  The
 worker executes the job through :func:`repro.parallel.jobs.execute_job`
-— the same entry point ``--jobs`` workers use — and ships its result
-back as a checksummed JSON file written atomically, so the parent can
-distinguish "crashed before finishing" (no file) from "finished but the
-payload is garbage" (checksum/parse failure → the attempt is rejected
-and retried).
+and ships its result back as a checksummed JSON file written
+atomically, so the parent can distinguish "crashed before finishing"
+(no file) from "finished but the payload is garbage" (checksum/parse
+failure → the attempt is rejected and retried).  Next to the
+deterministic ``payload`` the envelope carries the job's pickled
+result object (``SimResult`` / ``FrameCharacterization``), which
+``gspc-experiments --jobs`` seeds into its in-process caches.
 
 Fault injection threads through here: ``crash``/``hang`` fire before
 any work (see :mod:`repro.faults`); ``corrupt`` lets the job finish and
@@ -17,17 +19,25 @@ path.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
+import pickle
 import re
 import sys
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from repro import faults
 from repro.errors import SweepError
+from repro.experiments.common import ExperimentConfig
 from repro.parallel.jobs import SimJob, execute_job
 from repro.sweep.journal import canonical_json, checksum, write_atomic
 from repro.sweep.spec import SweepJob, SweepSpec
+
+# Resolving a synthetic frame imports the workload families lazily;
+# importing them here means every forked attempt inherits them instead
+# of paying that import (~10 ms) once per attempt.
+import repro.workloads.families  # noqa: F401
 
 #: Result-envelope schema version.
 RESULT_VERSION = 1
@@ -42,7 +52,7 @@ def result_filename(job_id: str, attempt: int) -> str:
 
 def job_payload(
     job: SweepJob,
-    spec: SweepSpec,
+    spec: Union[SweepSpec, ExperimentConfig],
     cache_dir: Optional[str],
     inject: Optional[str] = None,
     hang_seconds: float = 300.0,
@@ -50,6 +60,9 @@ def job_payload(
     trace_sample: int = 1,
 ) -> Dict[str, object]:
     """The picklable description of one attempt.
+
+    ``spec`` supplies the scale, engine and trace source (see
+    :class:`~repro.sweep.exec.ProcessLauncher`).
 
     ``trace_ctx`` is the serialized per-attempt
     :class:`~repro.obs.tracing.TraceContext` (already narrowed to this
@@ -97,8 +110,6 @@ def run_job_in_worker(payload: Dict[str, object], out_path: str) -> None:
     inject = payload.get("inject")
     if inject in ("crash", "hang"):
         faults.fire(str(inject), float(payload["hang_seconds"]))  # type: ignore[arg-type]
-    from repro.experiments.common import ExperimentConfig
-
     sim_job = SimJob(
         str(payload["kind"]),
         str(payload["app"]),
@@ -142,10 +153,11 @@ def run_job_in_worker(payload: Dict[str, object], out_path: str) -> None:
             accesses=sim_result.accesses,
             metrics=sim_result.stats.snapshot(),
         )
-    # Timing telemetry rides in the *envelope*, never in ``payload``:
-    # the journal stores only the payload, and CI diffs journal/manifest
-    # metrics byte-for-byte between clean and resumed runs — wall-clock
-    # data there would break that determinism contract.
+    # Timing telemetry and the pickled result ride in the *envelope*,
+    # never in ``payload``: the journal stores only the payload, and CI
+    # diffs journal/manifest metrics byte-for-byte between clean and
+    # resumed runs — wall-clock data there would break that
+    # determinism contract.
     envelope = {
         "v": RESULT_VERSION,
         "payload": result,
@@ -153,6 +165,7 @@ def run_job_in_worker(payload: Dict[str, object], out_path: str) -> None:
         "pid": os.getpid(),
         "spans": outcome.spans,
         "events": outcome.events,
+        "value": base64.b64encode(pickle.dumps(outcome.value)).decode("ascii"),
     }
     text = canonical_json({**envelope, "sha256": checksum(envelope)})
     if inject == "corrupt":
@@ -192,10 +205,17 @@ def load_result(out_path: str, expected_job: str) -> Dict[str, object]:
     return body
 
 
+def result_value(pickled: str) -> object:
+    """Decode the ``value`` of an envelope :func:`load_result` accepted
+    (written by the caller's own worker, so safe to unpickle)."""
+    return pickle.loads(base64.b64decode(pickled))
+
+
 __all__ = [
     "RESULT_VERSION",
     "job_payload",
     "load_result",
+    "result_value",
     "result_filename",
     "run_job_in_worker",
 ]

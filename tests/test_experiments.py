@@ -49,6 +49,25 @@ def test_trace_cache_round_trip(tmp_path):
     assert (tmp_path / "traces").exists()
 
 
+def test_npz_only_cache_entry_is_regenerated_as_gsct(tmp_path):
+    """The cache reads only ``.gsct``: a leftover ``.npz`` entry under
+    the same stem is ignored, and the frame is regenerated."""
+    from repro.trace import synth
+    from repro.trace.io import save_trace
+
+    config = dataclasses.replace(MICRO, cache_dir=str(tmp_path))
+    spec = FrameSpec(ALL_APPS[0], 0)
+    stem = tmp_path / "traces" / f"{spec.app.abbrev}_f0_s{config.scale:g}"
+    stale = synth.cyclic_scan(16, 2)
+    save_trace(stale, str(stem) + ".npz")
+    trace = frame_trace(spec, config)
+    expected = config.trace_source().frame_trace(
+        spec.app.abbrev, 0, config.scale
+    )
+    assert len(trace) == len(expected) != len(stale)
+    assert (tmp_path / "traces" / (stem.name + ".gsct")).exists()
+
+
 def test_result_cache_reuses_objects():
     clear_result_caches()
     spec = FrameSpec(ALL_APPS[0], 0)

@@ -4,7 +4,11 @@ import os
 
 import pytest
 
+from repro.experiments.common import clear_result_caches
 from repro.experiments.runner import build_parser, main
+
+#: fig01 at 1/32 scale: 12 trace jobs plus 36 sims under --jobs 2.
+FIG01 = ["fig01", "--scale", "0.03125"]
 
 
 def test_list(capsys):
@@ -108,6 +112,78 @@ def test_jobs_two_runs_and_records_parallel_manifest(tmp_path, capsys):
     assert parallel["workers"] == 2
     assert parallel["jobs"] == len(parallel["per_job"])
     assert parallel["serial_seconds_estimate"] > 0
+
+
+@pytest.fixture(scope="module")
+def fig01_workdir(tmp_path_factory):
+    """A work dir with a warm trace cache and fig01's serial CSVs."""
+    workdir = tmp_path_factory.mktemp("fig01")
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        clear_result_caches()
+        assert main([*FIG01, "--jobs", "1", "--csv", "serial"]) == 0
+    finally:
+        clear_result_caches()
+        os.chdir(cwd)
+    return workdir
+
+
+def _csvs(directory):
+    return {
+        name: (directory / name).read_text()
+        for name in sorted(os.listdir(directory))
+    }
+
+
+def _run_parallel(workdir, name, monkeypatch, capsys):
+    """fig01 under --jobs 2 with empty result caches; (code, out, csvs)."""
+    monkeypatch.chdir(workdir)
+    clear_result_caches()
+    try:
+        code = main([*FIG01, "--jobs", "2", "--csv", name])
+    finally:
+        clear_result_caches()
+    return code, capsys.readouterr().out, _csvs(workdir / name)
+
+
+def test_jobs_two_csvs_match_serial(fig01_workdir, monkeypatch, capsys):
+    code, out, csvs = _run_parallel(
+        fig01_workdir, "parallel", monkeypatch, capsys
+    )
+    assert code == 0
+    assert "parallel: 48 jobs over 2 workers" in out
+    assert csvs and csvs == _csvs(fig01_workdir / "serial")
+
+
+def test_crashed_jobs_are_retried(fig01_workdir, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_FAULT_SPEC", "job=sim:AssnCreed,kind=crash")
+    code, out, csvs = _run_parallel(fig01_workdir, "retried", monkeypatch, capsys)
+    assert code == 0
+    assert "failed (crash" in out and "retry 2/3" in out
+    assert "failed permanently" not in out
+    assert csvs == _csvs(fig01_workdir / "serial")
+
+
+def test_permanently_failed_jobs_fall_back_in_process(
+    fig01_workdir, monkeypatch, capsys
+):
+    monkeypatch.setenv(
+        "REPRO_FAULT_SPEC", "job=sim:AssnCreed,kind=crash,attempt=*"
+    )
+    code, out, csvs = _run_parallel(
+        fig01_workdir, "fallback", monkeypatch, capsys
+    )
+    assert code == 0
+    assert out.count("FAILED permanently") == 3  # drrip, nru, belady
+    assert "3 job(s) failed permanently; computing them in-process" in out
+    assert csvs == _csvs(fig01_workdir / "serial")
+
+
+def test_malformed_fault_spec_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_FAULT_SPEC", "job=1,kind=explode")
+    assert main(["fig01", "--jobs", "2"]) == 2
+    assert "unknown fault kind" in capsys.readouterr().err
 
 
 def test_parser_full_flag():

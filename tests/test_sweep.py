@@ -91,9 +91,14 @@ def test_sweep_job_validation():
         SweepJob("warp", "DMC", 0)
     with pytest.raises(SweepError, match="needs a policy"):
         SweepJob("sim", "DMC", 0)
+    with pytest.raises(SweepError, match="char job needs a policy"):
+        SweepJob("char", "DMC", 0, "belady")
     job = SweepJob("sim", "DMC", 0, "lru", 8)
     assert job.job_id == "sim:DMC:f0:lru:llc8"
     assert job.sim_job().kind == "sim"
+    char = SweepJob("char", "DMC", 0, "belady", 8)
+    assert char.job_id == "char:DMC:f0:belady:llc8"
+    assert char.sim_job().job_id == "char:DMC:f0:belady"
 
 
 # -- journal ------------------------------------------------------------------
@@ -349,6 +354,27 @@ def test_runner_permanent_failure_releases_dependents(tmp_path):
     )
 
 
+def test_runner_reports_each_successful_attempt(tmp_path):
+    jobs = _plan()
+    fail = AttemptResult(ok=False, kind="crash", error="boom")
+    launcher = FakeLauncher({(jobs[1].job_id, 1): fail})
+    seen = []
+    with Journal(str(tmp_path / "j.jsonl")) as journal:
+        _, runner = _runner(
+            jobs, launcher, journal,
+            on_result=lambda job, result: seen.append((job, result.payload)),
+        )
+        outcome = runner.run()
+    # Once per job, with its successful attempt's result (never the
+    # failed attempt), in completion order.
+    assert outcome.ok
+    assert sorted(job.job_id for job, _ in seen) == sorted(
+        job.job_id for job in jobs
+    )
+    assert {job.job_id: payload for job, payload in seen} == outcome.completed
+    assert dict(seen)[jobs[1]]["ran_attempt"] == 2
+
+
 def test_runner_timeout_cancels_and_retries(tmp_path):
     [job] = _plan()[:1]
     launcher = FakeLauncher({(job.job_id, 1): HANG})
@@ -554,6 +580,34 @@ def test_result_filename_is_filesystem_safe():
     name = result_filename("sim:DMC:f0:gspc+ucd:llc8", 2)
     assert "/" not in name and ":" not in name
     assert name.endswith(".a2.json")
+
+
+def test_worker_ships_result_object_outside_the_payload(tmp_path):
+    """The envelope carries the pickled SimResult next to the payload;
+    the payload — what the journal stores — stays plain JSON."""
+    import multiprocessing
+
+    from repro.sweep.worker import job_payload, result_value, run_job_in_worker
+
+    spec = SweepSpec(name="t", policies=("lru",), apps=("DMC",), scale=0.03125)
+    sim_job = expand(spec)[1]
+    out_path = str(tmp_path / result_filename(sim_job.job_id, 1))
+    process = multiprocessing.Process(
+        target=run_job_in_worker,
+        args=(job_payload(sim_job, spec, str(tmp_path / "cache")), out_path),
+    )
+    process.start()
+    process.join()
+    assert process.exitcode == 0
+    envelope = load_result(out_path, sim_job.job_id)
+    payload = envelope["payload"]
+    assert set(payload) == {
+        "job", "kind", "app", "frame", "policy", "llc_mb", "engine",
+        "accesses", "metrics",
+    }
+    value = result_value(envelope["value"])
+    assert value.policy == "lru" and value.accesses == payload["accesses"]
+    assert json.loads(json.dumps(value.stats.snapshot())) == payload["metrics"]
 
 
 def test_load_result_rejects_bad_envelopes(tmp_path):
