@@ -14,7 +14,10 @@ context — on miss-heavy traces both engines spend their time in victim
 scans and dict churn, so the gap narrows.
 
 Timing is best-of-``--repeats`` on ``replay_seconds`` (setup excluded;
-both engines share the same vectorized decode costs there).
+both engines share the same vectorized decode costs there).  The
+report's ``metrics`` map holds the fast engine's accesses/sec per
+``workload/policy``; ``check_regression.py`` gates a CI run's
+``BENCH_fastsim_ci.json`` against the committed ``BENCH_fastsim.json``.
 """
 
 from repro.config import CacheParams, KB, MB, LLCConfig
@@ -82,10 +85,15 @@ def run_bench(repeats: int = 3) -> dict:
             "trace": {"name": trace.meta.get("name"), "accesses": len(trace)},
             "results": rows,
         }
-    resident = report["workloads"]["resident"]["results"]
-    report["min_resident_speedup"] = min(
-        row["speedup"] for row in resident.values()
-    )
+    report["metrics"] = {
+        f"{name}/{policy}": {
+            "value": row["fast_accesses_per_second"],
+            "unit": "accesses/s",
+            "better": "higher",
+        }
+        for name, section in report["workloads"].items()
+        for policy, row in section["results"].items()
+    }
     return report
 
 
@@ -100,12 +108,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--repeats", type=int, default=3, help="timing repeats (best-of)"
     )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=0.0,
-        help="fail unless every resident-workload speedup reaches this",
-    )
     args = parser.parse_args(argv)
     report = run_bench(repeats=args.repeats)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -119,11 +121,7 @@ def main(argv=None) -> int:
                 f"fast {row['fast_accesses_per_second']:>12,.0f}/s  "
                 f"x{row['speedup']:.2f}"
             )
-    floor = report["min_resident_speedup"]
-    print(f"wrote {args.out}: min resident speedup x{floor:.2f}")
-    if args.min_speedup and floor < args.min_speedup:
-        print(f"FAIL: below required x{args.min_speedup:.2f}")
-        return 1
+    print(f"wrote {args.out}")
     return 0
 
 

@@ -12,10 +12,12 @@ simulation time::
 
 Throughput is the best round (requests/sec); latency percentiles are
 the best round's, so both reflect machinery cost rather than scheduler
-noise — the same best-of-rounds convention as ``bench_sweep.py``.  CI
-regenerates the report and gates it against the committed
-``BENCH_serve.json`` via ``check_regression.py --serve-report``
-(p99 latency and throughput, 25% degradation rule).
+noise — the same best-of-rounds convention as ``bench_sweep.py``.  The
+report's ``metrics`` map holds throughput and p99 latency; CI writes
+``BENCH_serve_ci.json`` and gates it against the committed
+``BENCH_serve.json`` with ``check_regression.py`` (25% degradation
+rule).  p50 latency is reported outside the map: median latency on a
+shared runner is too noisy to block on.
 """
 
 import time
@@ -139,10 +141,20 @@ def run_bench(
         "requests_total": sum(row["requests"] for row in round_stats),
         "cold_compute_seconds": cold_compute_seconds,
         "round_stats": round_stats,
-        # Gated metrics: the best round, so noise can only help.
-        "throughput_rps": best["throughput_rps"],
+        # The best round, so noise can only help.
         "p50_seconds": best["p50_seconds"],
-        "p99_seconds": best["p99_seconds"],
+        "metrics": {
+            "throughput_rps": {
+                "value": best["throughput_rps"],
+                "unit": "req/s",
+                "better": "higher",
+            },
+            "p99_seconds": {
+                "value": best["p99_seconds"],
+                "unit": "s",
+                "better": "lower",
+            },
+        },
     }
 
 
@@ -191,10 +203,12 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
+    metrics = report["metrics"]
     print(
-        f"wrote {args.out}: {report['throughput_rps']:,.0f} req/s over "
-        f"{args.clients} client(s), p50 {report['p50_seconds'] * 1e3:.2f}ms, "
-        f"p99 {report['p99_seconds'] * 1e3:.2f}ms "
+        f"wrote {args.out}: {metrics['throughput_rps']['value']:,.0f} req/s "
+        f"over {args.clients} client(s), "
+        f"p50 {report['p50_seconds'] * 1e3:.2f}ms, "
+        f"p99 {metrics['p99_seconds']['value'] * 1e3:.2f}ms "
         f"(cold compute {report['cold_compute_seconds']:.2f}s)"
     )
     return 0

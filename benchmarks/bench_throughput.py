@@ -3,12 +3,14 @@
 Run under pytest-benchmark for the per-policy hot-loop numbers, or as a
 script for the CI benchmark-regression smoke::
 
-    PYTHONPATH=src python benchmarks/bench_throughput.py --out BENCH_parallel.json
+    PYTHONPATH=src python benchmarks/bench_throughput.py --out BENCH_throughput_ci.json
 
 The script mode replays one small frame under a policy roster with
-:func:`repro.sim.offline.simulate_trace` and emits a JSON report with
-replay accesses/sec per policy, which ``check_regression.py`` gates
-against the committed ``BENCH_baseline.json``.
+:func:`repro.sim.offline.simulate_trace` and emits a JSON report whose
+``metrics`` map holds replay accesses/sec per policy, which
+``check_regression.py`` gates against the committed
+``BENCH_throughput.json`` (the default ``--out``, so a plain run
+refreshes it).
 """
 
 from repro.config import CacheParams, KB, LLCConfig
@@ -105,8 +107,12 @@ def run_smoke(scale: float = 0.0625) -> dict:
         "trace": {"name": trace.meta.get("name"), "accesses": len(trace)},
         "scale": scale,
         "policies": list(SMOKE_POLICIES),
-        "accesses_per_second": {
-            result.policy: result.replay_accesses_per_second
+        "metrics": {
+            result.policy: {
+                "value": result.replay_accesses_per_second,
+                "unit": "accesses/s",
+                "better": "higher",
+            }
             for result in results
         },
     }
@@ -120,7 +126,7 @@ def main(argv=None) -> int:
         description="Benchmark-regression smoke: per-policy replay throughput."
     )
     parser.add_argument(
-        "--out", default="BENCH_parallel.json", help="report path"
+        "--out", default="BENCH_throughput.json", help="report path"
     )
     parser.add_argument(
         "--scale", type=float, default=0.0625, help="linear frame scale"
@@ -130,7 +136,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
-    slowest = min(report["accesses_per_second"].values())
+    slowest = min(entry["value"] for entry in report["metrics"].values())
     print(
         f"wrote {args.out}: {report['trace']['accesses']:,} accesses, "
         f"slowest policy {slowest:,.0f} acc/s"

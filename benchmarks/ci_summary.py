@@ -5,19 +5,23 @@ miss-rate tables are readable on the run page without downloading
 artifacts::
 
     PYTHONPATH=src python benchmarks/ci_summary.py \
-        --fastsim BENCH_fastsim_ci.json --parallel BENCH_parallel.json \
-        --sweep BENCH_sweep.json >> "$GITHUB_STEP_SUMMARY"
+        BENCH_throughput_ci.json BENCH_sweep_ci.json \
+        --fastsim BENCH_fastsim_ci.json >> "$GITHUB_STEP_SUMMARY"
 
     PYTHONPATH=src python benchmarks/ci_summary.py \
         --workloads BENCH_workloads.json >> "$GITHUB_STEP_SUMMARY"
 
-Every section is optional; missing files are skipped with a note so a
-partially failed job still renders what it measured.
+Each positional report renders its gated ``metrics`` map (the schema
+``check_regression.py`` compares).  Every section is optional; missing
+files are skipped with a note so a partially failed job still renders
+what it measured.
 """
 
 import argparse
 import json
 import sys
+
+from check_regression import fmt
 
 
 def _load(path):
@@ -47,34 +51,19 @@ def section_fastsim(path: str) -> None:
     print()
 
 
-def section_parallel(path: str) -> None:
+def section_metrics(path: str) -> None:
     report = _load(path)
     if report is None:
         return
-    print("## Replay throughput\n")
-    print("| policy | accesses/s |")
-    print("|---|---:|")
-    for policy, rate in sorted(report.get("accesses_per_second", {}).items()):
-        print(f"| {policy} | {rate:,.0f} |")
-    print()
-
-
-def section_sweep(path: str) -> None:
-    report = _load(path)
-    if report is None:
-        return
-    print("## Sweep orchestration overhead\n")
-    print("| side | seconds (min) | overhead |")
-    print("|---|---:|---:|")
-    print(f"| bare process pool | {report['bare_min']:.2f} | — |")
-    print(
-        f"| sweep stack | {report['sweep_min']:.2f} "
-        f"| {report['overhead_fraction']:+.1%} |"
-    )
-    print(
-        f"| traced sweep | {report['traced_min']:.2f} "
-        f"| {report['traced_overhead_fraction']:+.1%} |"
-    )
+    print(f"## Gated metrics: `{path}`\n")
+    print("| metric | value | unit | better | limit |")
+    print("|---|---:|---|---|---:|")
+    for name, entry in sorted(report.get("metrics", {}).items()):
+        limit = fmt(entry["limit"]) if "limit" in entry else "—"
+        print(
+            f"| {name} | {fmt(entry['value'])} | {entry['unit']} "
+            f"| {entry['better']} | {limit} |"
+        )
     print()
 
 
@@ -122,19 +111,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Render benchmark JSONs as job-summary markdown."
     )
+    parser.add_argument(
+        "reports", nargs="*", help="reports whose metrics maps to render"
+    )
     parser.add_argument("--fastsim", help="BENCH_fastsim_ci.json path")
-    parser.add_argument("--parallel", help="BENCH_parallel.json path")
-    parser.add_argument("--sweep", help="BENCH_sweep.json path")
     parser.add_argument("--workloads", help="BENCH_workloads.json path")
     args = parser.parse_args(argv)
-    if not any((args.fastsim, args.parallel, args.sweep, args.workloads)):
+    if not any((args.reports, args.fastsim, args.workloads)):
         parser.error("give at least one report path")
-    if args.parallel:
-        section_parallel(args.parallel)
+    for path in args.reports:
+        section_metrics(path)
     if args.fastsim:
         section_fastsim(args.fastsim)
-    if args.sweep:
-        section_sweep(args.sweep)
     if args.workloads:
         section_workloads(args.workloads)
     return 0

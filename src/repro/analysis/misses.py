@@ -23,8 +23,10 @@ import dataclasses
 from typing import Optional
 
 from repro.analysis.reuse import COLD, reuse_distances
-from repro.cache.llc import MISS
+from repro.cache.llc import HIT
 from repro.config import LLCConfig
+from repro.core.base import NEVER
+from repro.core.registry import resolve_policy
 from repro.sim.future import next_use_indices
 from repro.sim.offline import PolicyLike, build_llc
 from repro.trace.record import Trace
@@ -59,8 +61,15 @@ def classify_misses(
     policy: PolicyLike,
     llc_config: Optional[LLCConfig] = None,
 ) -> MissBreakdown:
-    """Run ``policy`` over ``trace`` and classify every miss."""
-    llc = build_llc(policy, llc_config or LLCConfig())
+    """Run ``policy`` over ``trace`` and classify every miss.
+
+    Hits and misses count exactly as :class:`~repro.cache.stats.LLCStats`
+    does: a fill the policy vetoes is still a miss, while an access to a
+    statically uncached stream is neither.
+    """
+    instance, uncached = resolve_policy(policy)
+    llc = build_llc(instance, llc_config or LLCConfig(), uncached)
+    uncached_streams = {int(stream) for stream in uncached}
     capacity_blocks = llc.geometry.num_sets * llc.geometry.ways
     blocks = trace.block_addresses(llc.geometry.block_bytes)
     distances = reuse_distances(blocks.tolist())
@@ -79,10 +88,12 @@ def classify_misses(
             addresses[index],
             streams[index],
             writes[index],
-            next_uses[index] if next_uses is not None else (1 << 62),
+            next_uses[index] if next_uses is not None else NEVER,
         )
-        if outcome != MISS:
+        if outcome == HIT:
             hits += 1
+            continue
+        if streams[index] in uncached_streams:
             continue
         distance = distances[index]
         if distance == COLD:

@@ -16,6 +16,8 @@ from typing import Dict, List, Optional
 
 from repro.cache.llc import HIT
 from repro.config import LLCConfig
+from repro.core.base import NEVER
+from repro.sim.future import next_use_indices
 from repro.sim.offline import PolicyLike, build_llc
 from repro.streams import ALL_STREAMS, Stream
 from repro.trace.record import Trace
@@ -63,6 +65,12 @@ def phase_profile(
     addresses = trace.addresses.tolist()
     streams = trace.streams.tolist()
     writes = trace.writes.tolist()
+    if llc.policy.needs_future:
+        next_uses = next_use_indices(
+            trace.block_addresses(llc.geometry.block_bytes)
+        ).tolist()
+    else:
+        next_uses = None
 
     def close(end_index: int) -> None:
         nonlocal counts, hits, consumed_before, start
@@ -84,7 +92,12 @@ def phase_profile(
         start = end_index
 
     for index in range(len(addresses)):
-        outcome = access(addresses[index], streams[index], writes[index])
+        outcome = access(
+            addresses[index],
+            streams[index],
+            writes[index],
+            next_uses[index] if next_uses is not None else NEVER,
+        )
         counts[Stream(streams[index])] += 1
         if outcome == HIT:
             hits += 1

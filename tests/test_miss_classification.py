@@ -59,6 +59,25 @@ def test_totals_match_plain_simulation():
     assert breakdown.hits == result.hits
 
 
+def test_totals_match_plain_simulation_with_bypasses():
+    """Uncached-stream bypasses are neither hits nor misses; fills a
+    policy vetoes are misses — the same split as ``LLCStats``."""
+    from repro.config import paper_baseline
+    from repro.sim.offline import simulate_trace
+    from repro.workloads.apps import app_by_name
+    from repro.workloads.framegen import generate_frame_trace
+
+    trace = generate_frame_trace(app_by_name("3DMarkVAGT1"), 0, 1 / 32)
+    llc = paper_baseline(llc_mb=8, scale=1 / 32).llc
+    for policy in ("drrip+ucd", "gspc+bypass"):
+        breakdown = classify_misses(trace, policy, llc)
+        result = simulate_trace(trace, policy, llc)
+        assert (breakdown.hits, breakdown.misses) == (
+            result.hits,
+            result.misses,
+        ), policy
+
+
 def test_belady_reduces_conflict_bucket():
     trace = synth.random_trace(length=3000, footprint_blocks=128, seed=2)
     lru = classify_misses(trace, "lru", TINY)

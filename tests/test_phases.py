@@ -67,3 +67,19 @@ def test_real_frame_has_phases():
     assert len(windows) > 4
     # A rendered frame shows at least one pass boundary.
     assert detect_phase_changes(windows, threshold=0.2)
+
+
+def test_window_hits_sum_to_simulated_hits():
+    """Belady needs next-use indices: without them every access looks
+    like it is never reused again and the windows undercount hits."""
+    from repro.config import paper_baseline
+    from repro.sim.offline import simulate_trace
+    from repro.workloads.apps import app_by_name
+    from repro.workloads.framegen import generate_frame_trace
+
+    trace = generate_frame_trace(app_by_name("3DMarkVAGT1"), 0, 1 / 32)
+    llc = paper_baseline(llc_mb=8, scale=1 / 32).llc
+    for policy in ("lru", "belady"):
+        windows = phase_profile(trace, policy, llc, window=1024)
+        result = simulate_trace(trace, policy, llc)
+        assert sum(w.hits for w in windows) == result.hits, policy
