@@ -39,13 +39,13 @@ REUSE_DISTANCE_CAP = 120_000
 
 
 def characterize_preset(workload, scale: float, llc_mb: int) -> dict:
+    from repro.analysis.reuse import reuse_distance_summary
     from repro.config import paper_baseline
     from repro.sim.offline import simulate_trace
     from repro.trace.sources.envelope import (
         characterize_capture,
         check_envelope,
     )
-    from repro.trace.stats import reuse_distance_summary
 
     trace = workload.generate(0, scale)
     characterization = characterize_capture(trace)

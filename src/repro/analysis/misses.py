@@ -1,7 +1,8 @@
 """Miss classification: cold / capacity / conflict.
 
-The classic three-C decomposition, computed from a policy run plus the
-trace's exact LRU stack distances:
+The classic three-C decomposition, computed from one policy replay's
+per-access outcomes (:func:`repro.sim.offline.replay`) plus the trace's
+exact LRU stack distances:
 
 * **cold** — first touch of the block (no cache could hit);
 * **capacity** — the block's reuse distance exceeds the cache's total
@@ -22,13 +23,13 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
+import numpy as np
+
 from repro.analysis.reuse import COLD, reuse_distances
 from repro.cache.llc import HIT
 from repro.config import LLCConfig
-from repro.core.base import NEVER
 from repro.core.registry import resolve_policy
-from repro.sim.future import next_use_indices
-from repro.sim.offline import PolicyLike, build_llc
+from repro.sim.offline import PolicyLike, replay
 from repro.trace.record import Trace
 
 
@@ -67,45 +68,23 @@ def classify_misses(
     does: a fill the policy vetoes is still a miss, while an access to a
     statically uncached stream is neither.
     """
-    instance, uncached = resolve_policy(policy)
-    llc = build_llc(instance, llc_config or LLCConfig(), uncached)
-    uncached_streams = {int(stream) for stream in uncached}
-    capacity_blocks = llc.geometry.num_sets * llc.geometry.ways
-    blocks = trace.block_addresses(llc.geometry.block_bytes)
-    distances = reuse_distances(blocks.tolist())
-    if llc.policy.needs_future:
-        next_uses = next_use_indices(blocks).tolist()
-    else:
-        next_uses = None
-
-    hits = cold = capacity = conflict = 0
-    access = llc.access
-    addresses = trace.addresses.tolist()
-    streams = trace.streams.tolist()
-    writes = trace.writes.tolist()
-    for index in range(len(addresses)):
-        outcome = access(
-            addresses[index],
-            streams[index],
-            writes[index],
-            next_uses[index] if next_uses is not None else NEVER,
+    llc_config = llc_config or LLCConfig()
+    outcomes = replay(trace, policy, llc_config).outcomes
+    _, uncached = resolve_policy(policy)
+    cached = ~np.isin(trace.streams, [int(stream) for stream in uncached])
+    miss_distances = reuse_distances(
+        trace.block_addresses(llc_config.block_bytes).tolist()
+    )[(outcomes != HIT) & cached]
+    cold = int(np.count_nonzero(miss_distances == COLD))
+    capacity = int(
+        np.count_nonzero(
+            miss_distances >= llc_config.num_sets * llc_config.ways
         )
-        if outcome == HIT:
-            hits += 1
-            continue
-        if streams[index] in uncached_streams:
-            continue
-        distance = distances[index]
-        if distance == COLD:
-            cold += 1
-        elif distance >= capacity_blocks:
-            capacity += 1
-        else:
-            conflict += 1
+    )
     return MissBreakdown(
         accesses=len(trace),
-        hits=hits,
+        hits=int(np.count_nonzero(outcomes == HIT)),
         cold=cold,
         capacity=capacity,
-        conflict=conflict,
+        conflict=len(miss_distances) - cold - capacity,
     )

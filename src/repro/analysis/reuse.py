@@ -62,6 +62,35 @@ def reuse_distances(blocks: Sequence[int]) -> np.ndarray:
     return distances
 
 
+def reuse_distance_summary(trace: Trace) -> Dict[str, float]:
+    """JSON-ready digest of a trace's :func:`reuse_distances`.
+
+    ``cold_fraction`` is the share of first-touch accesses; the
+    percentiles describe the stack-distance distribution of the
+    *re-accesses* only (in 64 B blocks — compare directly against an
+    LLC capacity in blocks).
+    """
+    distances = reuse_distances(trace.block_addresses().tolist())
+    reused = distances[distances != COLD]
+    summary: Dict[str, float] = {
+        "accesses": float(len(distances)),
+        "cold_fraction": (
+            1.0 - len(reused) / len(distances) if len(distances) else 0.0
+        ),
+    }
+    if len(reused):
+        summary.update(
+            mean=float(reused.mean()),
+            p50=float(np.percentile(reused, 50)),
+            p90=float(np.percentile(reused, 90)),
+            p99=float(np.percentile(reused, 99)),
+            max=float(reused.max()),
+        )
+    else:
+        summary.update(mean=0.0, p50=0.0, p90=0.0, p99=0.0, max=0.0)
+    return summary
+
+
 @dataclasses.dataclass(frozen=True)
 class ReuseProfile:
     """Histogram summary of a trace's reuse distances."""

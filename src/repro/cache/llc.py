@@ -91,8 +91,9 @@ class LLC:
         self._obs_countdown = 1
         #: Whether the current access's events reach the observer.
         self._obs_live = self._obs_period == 1
-        #: Optional callable(byte_address) invoked for every dirty
-        #: eviction — lets timing models see real write-back addresses.
+        #: Optional callable(access_index, byte_address) invoked for
+        #: every dirty eviction — the index is the evicting access's
+        #: position, as :func:`repro.sim.offline.replay` records it.
         self.writeback_sink = writeback_sink
         self._uncached = frozenset(int(s) for s in uncached_streams)
         num_sets, ways = geometry.num_sets, geometry.ways
@@ -233,7 +234,9 @@ class LLC:
             stats.writebacks += 1
             stats.dram_writes += 1
             if self.writeback_sink is not None:
-                self.writeback_sink(self._tag[slot] << self.geometry.block_bits)
+                self.writeback_sink(
+                    ctx.index, self._tag[slot] << self.geometry.block_bits
+                )
         if self._obs_live:
             self._on_evict(ctx, slot)
         self.policy.on_evict(ctx, way)

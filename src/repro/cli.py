@@ -306,7 +306,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         base_timing = None
         for policy in args.policies:
-            timing = simulator.run(trace, policy)
+            timing = simulator.run(trace, policy, engine=args.engine)
             if base_timing is None:
                 base_timing = timing
             timings[timing.policy] = timing

@@ -43,9 +43,10 @@ def performance_table(
         fps_app: List[float] = []
         for spec in frames:
             trace = frame_trace(spec, config)
-            base = simulator.run(trace, baseline)
+            base = simulator.run(trace, baseline, engine=config.engine)
             timings: Dict[str, FrameTiming] = {
-                policy: simulator.run(trace, policy) for policy in policies
+                policy: simulator.run(trace, policy, engine=config.engine)
+                for policy in policies
             }
             for policy in policies:
                 per_policy[policy].append(timings[policy].speedup_over(base))

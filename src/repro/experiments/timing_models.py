@@ -39,11 +39,11 @@ def run(config: ExperimentConfig) -> List[Table]:
     }
     for spec in frames:
         trace = frame_trace(spec, config)
-        base_w = windowed.run(trace, BASELINE)
-        base_d = detailed.run(trace, BASELINE)
+        base_w = windowed.run(trace, BASELINE, engine=config.engine)
+        base_d = detailed.run(trace, BASELINE, engine=config.engine)
         for policy in POLICIES:
-            timing_w = windowed.run(trace, policy)
-            timing_d = detailed.run(trace, policy)
+            timing_w = windowed.run(trace, policy, engine=config.engine)
+            timing_d = detailed.run(trace, policy, engine=config.engine)
             bucket = per_policy[policy]
             bucket["w"].append(timing_w.speedup_over(base_w))
             bucket["d"].append(timing_d.speedup_over(base_d))

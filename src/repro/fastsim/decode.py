@@ -2,11 +2,12 @@
 
 One vectorized pass turns a :class:`~repro.trace.record.Trace` into the
 flat Python lists the kernels iterate: block addresses, set indices,
-streams, stream classes, write flags, and (for Belady) next-use
-indices.  Statically uncached streams are accounted here — vectorized
-``isin``/``bincount`` replaces the reference engine's per-access bypass
-branch — and filtered out of the replay arrays entirely, so the kernels
-never see them.
+stream classes, write flags, and (for Belady) next-use indices.
+Statically uncached streams are filtered out of the replay arrays
+entirely — a vectorized table lookup replaces the reference engine's
+per-access bypass branch — so the kernels never see them; ``kept`` maps
+replay positions back to the trace, whose other positions the engine
+records as ``BYPASS``.
 
 Next-use indices are computed on the *full* trace before the uncached
 filter, exactly like the reference simulator: a bypassed access still
@@ -33,13 +34,12 @@ _CLASS_TABLE = np.array(STREAM_CLASS_TABLE, dtype=np.uint8)
 
 @dataclasses.dataclass
 class DecodedTrace:
-    """Replay-ready arrays plus the pre-counted bypass statistics."""
+    """Replay-ready arrays of the accesses the kernel replays."""
 
     blocks: List[int]
     #: Base slot of each access's set (``set_index * ways``), so the
     #: kernels index per-set state without a per-access multiply.
     bases: List[int]
-    streams: List[int]
     sclasses: List[int]
     writes: List[bool]
     #: Next-use index per replayed access (``None`` unless Belady).
@@ -48,11 +48,9 @@ class DecodedTrace:
     #: the kernel needs them — the GSPC family's counter plumbing).
     banks: Optional[List[int]]
     samples: Optional[List[bool]]
-    #: Bypass count per ``int(Stream)`` (uncached streams only).
-    bypasses_per_stream: List[int]
-    #: DRAM traffic of the bypassed accesses.
-    bypass_reads: int
-    bypass_writes: int
+    #: Trace position of each replayed access (``None`` when nothing
+    #: was filtered, so replay positions are trace positions).
+    kept: Optional[np.ndarray] = None
 
 
 def decode_trace(
@@ -68,9 +66,7 @@ def decode_trace(
     writes = trace.writes
     next_uses = next_use_indices(blocks) if needs_future else None
 
-    bypasses = [0] * _NUM_STREAMS
-    bypass_reads = 0
-    bypass_writes = 0
+    kept = None
     if uncached:
         # Dense table lookup instead of np.isin: one O(n) take against 8
         # slots, which matters now that ingested captures (unbounded,
@@ -80,11 +76,8 @@ def decode_trace(
             uncached_table[int(stream)] = True
         mask = uncached_table[streams]
         if mask.any():
-            counts = np.bincount(streams[mask], minlength=_NUM_STREAMS)
-            bypasses = [int(count) for count in counts]
-            bypass_writes = int(writes[mask].sum())
-            bypass_reads = int(mask.sum()) - bypass_writes
             keep = ~mask
+            kept = np.flatnonzero(keep)
             blocks = blocks[keep]
             streams = streams[keep]
             writes = writes[keep]
@@ -102,13 +95,10 @@ def decode_trace(
     return DecodedTrace(
         blocks=blocks.tolist(),
         bases=bases.tolist(),
-        streams=streams.tolist(),
         sclasses=sclasses.tolist(),
         writes=writes.tolist(),
         next_uses=next_uses.tolist() if next_uses is not None else None,
         banks=banks,
         samples=samples,
-        bypasses_per_stream=bypasses,
-        bypass_reads=bypass_reads,
-        bypass_writes=bypass_writes,
+        kept=kept,
     )

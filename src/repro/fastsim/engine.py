@@ -1,11 +1,13 @@
-"""The fast engine's ``simulate_trace`` equivalent.
+"""The fast engine's ``simulate_trace`` and ``replay`` equivalents.
 
-``fast_simulate_trace`` mirrors :func:`repro.sim.offline.simulate_trace`
+``fast_replay`` mirrors :func:`repro.sim.offline.replay`
 observable-for-observable: the same ``setup``/``replay`` span names,
-the same ``SimResult`` fields, the same stats, and the same
-``fill_distant_fraction`` extras for RRIP-family policies.  It refuses
-(rather than silently degrading) to run a policy without a kernel —
-engine *selection* lives in :mod:`repro.fastsim.dispatch`.
+the same ``SimResult`` fields and stats, the same
+``fill_distant_fraction`` extras for RRIP-family policies, and the same
+per-access replay record.  ``fast_simulate_trace`` is its
+``SimResult``.  Both refuse (rather than silently degrade) to run a
+policy without a kernel — engine *selection* lives in
+:mod:`repro.fastsim.dispatch`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from __future__ import annotations
 import time
 from typing import Iterable, Optional
 
+import numpy as np
+
 from repro.cache.geometry import CacheGeometry
+from repro.cache.llc import BYPASS, HIT, MISS
 from repro.cache.stats import LLCStats
 from repro.config import LLCConfig
 from repro.core.gspc_base import ProbabilisticStreamPolicy
@@ -24,7 +29,7 @@ from repro.fastsim.decode import decode_trace
 from repro.fastsim.dispatch import kernel_kind
 from repro.fastsim.kernels import kernel_for, kernel_params
 from repro.obs.spans import SpanRecorder
-from repro.sim.results import SimResult
+from repro.sim.results import Replay, SimResult
 from repro.streams import ALL_STREAMS, Stream, StreamClass
 from repro.trace.record import Trace
 
@@ -37,6 +42,22 @@ def fast_simulate_trace(
     spans: Optional[SpanRecorder] = None,
 ) -> SimResult:
     """Replay ``trace`` under ``policy`` through the fast engine."""
+    return fast_replay(trace, policy, llc_config, uncached_streams, spans).result
+
+
+def fast_replay(
+    trace: Trace,
+    policy: PolicyLike,
+    llc_config: Optional[LLCConfig] = None,
+    uncached_streams: Optional[Iterable[Stream]] = None,
+    spans: Optional[SpanRecorder] = None,
+) -> Replay:
+    """:func:`fast_simulate_trace` plus the kernel's replay record.
+
+    The kernel only sees the accesses ``decode_trace`` kept; the
+    filtered (statically uncached) positions become ``BYPASS`` and the
+    victims' replay positions map back to trace positions.
+    """
     if spans is None:
         spans = SpanRecorder()
     instance, uncached = resolve_policy(policy, uncached_streams)
@@ -66,7 +87,6 @@ def fast_simulate_trace(
         counters = kernel(
             decoded.blocks,
             decoded.bases,
-            decoded.streams,
             decoded.sclasses,
             decoded.writes,
             decoded.next_uses,
@@ -78,9 +98,19 @@ def fast_simulate_trace(
         )
     replay_seconds = time.perf_counter() - replay_started
 
+    outcomes = np.frombuffer(counters["outcomes"], dtype=np.int8)
+    victim_indices = np.array(counters["victim_at"], dtype=np.int64)
+    if decoded.kept is not None:
+        replayed = outcomes
+        outcomes = np.full(len(trace), BYPASS, dtype=np.int8)
+        outcomes[decoded.kept] = replayed
+        victim_indices = decoded.kept[victim_indices]
+    victim_blocks = np.array(counters["victim_blocks"], dtype=np.uint64)
+    victim_addresses = victim_blocks << np.uint64(geometry.block_bits)
+
     result = SimResult(
         policy=instance.name,
-        stats=_assemble_stats(counters, decoded),
+        stats=_assemble_stats(counters, trace, outcomes),
         accesses=len(trace),
         elapsed_seconds=setup_seconds + replay_seconds,
         setup_seconds=setup_seconds,
@@ -91,28 +121,39 @@ def fast_simulate_trace(
         result.extras["fill_distant_fraction"] = _fill_distant_fractions(
             counters["fill_counts"], instance.distant_rrpv
         )
-    return result
+    return Replay(result, outcomes, victim_indices, victim_addresses)
 
 
-def _assemble_stats(counters: dict, decoded) -> LLCStats:
+def _assemble_stats(counters: dict, trace: Trace, outcomes: np.ndarray) -> LLCStats:
+    """The kernel's counters plus the counts its replay record implies.
+
+    Kernel policies never veto a fill, so every miss fills and reads
+    DRAM, every fill past the resident blocks evicted one, every bypass
+    is an uncached access passed straight to DRAM, and every write-back
+    is one recorded dirty victim.
+    """
     stats = LLCStats()
-    hits = counters["hits"]
-    misses = counters["misses"]
+    streams = trace.streams
+    counts = {
+        code: np.bincount(streams[outcomes == code], minlength=len(Stream)).tolist()
+        for code in (HIT, MISS, BYPASS)
+    }
     for stream in ALL_STREAMS:
         per_stream = stats.per_stream[stream]
-        index = int(stream)
-        per_stream.hits = hits[index]
-        per_stream.misses = misses[index]
-        per_stream.bypasses = decoded.bypasses_per_stream[index]
-    stats.evictions = counters["evictions"]
-    stats.writebacks = counters["writebacks"]
-    stats.fills = counters["fills"]
+        per_stream.hits = counts[HIT][stream]
+        per_stream.misses = counts[MISS][stream]
+        per_stream.bypasses = counts[BYPASS][stream]
+    bypass_writes = int(np.count_nonzero(trace.writes[outcomes == BYPASS]))
+    writebacks = len(counters["victim_at"])
+    stats.fills = sum(counts[MISS])
+    stats.evictions = stats.fills - counters["resident"]
+    stats.writebacks = writebacks
     stats.tex_inter_hits = counters["tex_inter_hits"]
     stats.tex_intra_hits = counters["tex_intra_hits"]
     stats.rt_produced = counters["rt_produced"]
     stats.rt_consumed = counters["rt_consumed"]
-    stats.dram_reads = counters["dram_reads"] + decoded.bypass_reads
-    stats.dram_writes = counters["dram_writes"] + decoded.bypass_writes
+    stats.dram_reads = stats.fills + sum(counts[BYPASS]) - bypass_writes
+    stats.dram_writes = writebacks + bypass_writes
     return stats
 
 

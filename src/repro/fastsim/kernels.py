@@ -20,6 +20,11 @@ They lean on C-level list primitives — ``list.index`` with bounds,
 on miss-heavy traces.  Stream-class constants are inlined: ``0`` is Z,
 ``1`` is TEX, ``2`` is RT (:data:`repro.streams.StreamClass`).
 
+Every kernel also returns its replay record (outcome codes and dirty
+victims, see :class:`~repro.sim.results.Replay`), written on the hit
+path and at the one eviction site; the engine derives per-stream counts,
+fills, evictions, DRAM traffic and write-backs from it.
+
 The GSPC family (``gspztc``, ``gspztc_tse``, ``gspc``) adds per-bank
 saturating counters and a per-line epoch state array on top of the
 RRIP substrate; those kernels additionally consume the pre-decoded
@@ -41,7 +46,7 @@ from repro.core.rrip import RRIPPolicy
 from repro.errors import SimulationError
 
 _TEMPLATE = string.Template("""\
-def replay(blocks, bases, streams, sclasses, writes, next_uses,
+def replay(blocks, bases, sclasses, writes, next_uses,
            banks, samples, num_sets, ways, params):
     total_slots = num_sets * ways
     lookup = {}
@@ -53,25 +58,21 @@ def replay(blocks, bases, streams, sclasses, writes, next_uses,
     dirty = [False] * total_slots
     rt = [False] * total_slots
 ${setup}
-    hits_s = [0] * 8
-    misses_s = [0] * 8
-    evictions = 0
-    writebacks = 0
-    fills = 0
     tex_inter = 0
     tex_intra = 0
     rt_prod = 0
     rt_cons = 0
-    dram_reads = 0
-    dram_writes = 0
-    for ${loop_vars} in zip(${loop_srcs}):
+    # The replay record: every access starts as MISS (0) and hits flip
+    # to HIT (1); dirty victims keep the evicting access's position.
+    outcomes = bytearray(len(blocks))
+    victim_at = []
+    victim_blocks = []
+    for index, ${loop_vars} in zip(range(len(blocks)), ${loop_srcs}):
         slot = lookup_get(block)
         if slot is not None:
-            hits_s[stream] += 1
+            outcomes[index] = 1
 ${hit_body}
             continue
-        misses_s[stream] += 1
-        dram_reads += 1
         count = filled[base]
         if count < ways:
             slot = base + count
@@ -79,12 +80,10 @@ ${hit_body}
         else:
             end = base + ways
 ${select_victim}
-            evictions += 1
             if dirty[slot]:
-                writebacks += 1
-                dram_writes += 1
+                victim_at.append(index)
+                victim_blocks.append(tags[slot])
             del lookup[tags[slot]]
-        fills += 1
         lookup[block] = slot
         tags[slot] = block
         dirty[slot] = write
@@ -95,18 +94,15 @@ ${select_victim}
             rt[slot] = False
 ${on_fill}
     return {
-        "hits": hits_s,
-        "misses": misses_s,
-        "evictions": evictions,
-        "writebacks": writebacks,
-        "fills": fills,
+        "resident": sum(filled),
         "tex_inter_hits": tex_inter,
         "tex_intra_hits": tex_intra,
         "rt_produced": rt_prod,
         "rt_consumed": rt_cons,
-        "dram_reads": dram_reads,
-        "dram_writes": dram_writes,
         "fill_counts": ${fill_counts},
+        "outcomes": outcomes,
+        "victim_at": victim_at,
+        "victim_blocks": victim_blocks,
     }
 """)
 
@@ -540,8 +536,8 @@ def kernel_source(kind: str) -> str:
         known = ", ".join(sorted(_SPECS))
         raise SimulationError(f"no fast kernel {kind!r}; known kernels: {known}")
     spec = _SPECS[kind]
-    loop_vars = "block, base, stream, sclass, write"
-    loop_srcs = "blocks, bases, streams, sclasses, writes"
+    loop_vars = "block, base, sclass, write"
+    loop_srcs = "blocks, bases, sclasses, writes"
     if spec.get("needs_future"):
         loop_vars += ", next_use"
         loop_srcs += ", next_uses"

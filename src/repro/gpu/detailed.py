@@ -1,11 +1,12 @@
 """Event-driven detailed GPU timing model.
 
 The windowed model (:mod:`repro.gpu.timing`) integrates throughput
-bounds; this model replays the trace through explicit queueing state —
-per-thread-context availability, a bounded pool of outstanding misses
-(MSHRs), per-bank DRAM service with open-row tracking, and per-channel
-data-bus occupancy — the machinery a detailed simulator like the
-paper's in-house one resolves cycle by cycle.
+bounds; this model walks one LLC replay's record (per-access outcome
+plus dirty victims, :func:`repro.sim.offline.replay`) through explicit
+queueing state — per-thread-context availability, a bounded pool of
+outstanding misses (MSHRs), per-bank DRAM service with open-row
+tracking, and per-channel data-bus occupancy — the machinery a detailed
+simulator like the paper's in-house one resolves cycle by cycle.
 
 Each LLC access is issued by one of the GPU's thread contexts
 (round-robin over *warps* of consecutive accesses, modeling the quads a
@@ -24,14 +25,12 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.cache.llc import HIT, MISS
 from repro.config import SystemConfig
-from repro.core.base import NEVER
 from repro.gpu.shader import WORK_FLOPS_PER_ACCESS
-from repro.sim.future import next_use_indices
-from repro.sim.offline import PolicyLike, build_llc
+from repro.sim.offline import PolicyLike, replay
 from repro.trace.record import Trace
 from repro.utils.bitops import ilog2
 
@@ -77,13 +76,16 @@ class DetailedGPUSimulator:
     def __init__(self, system: SystemConfig) -> None:
         self.system = system
 
-    def run(self, trace: Trace, policy: PolicyLike) -> DetailedTiming:
+    def run(
+        self, trace: Trace, policy: PolicyLike, engine: str = "auto"
+    ) -> DetailedTiming:
+        """Model one frame under ``policy`` from one LLC replay on
+        ``engine`` (resolved as by
+        :func:`~repro.sim.offline.simulate_trace`)."""
         system = self.system
         gpu, dram = system.gpu, system.dram
-        pending_writebacks: List[int] = []
-        llc = build_llc(
-            policy, system.llc, writeback_sink=pending_writebacks.append
-        )
+        replayed = replay(trace, policy, system.llc, engine=engine)
+        stats = replayed.result.stats
 
         flops_per_ns = gpu.peak_tflops * 1e3 * 0.55
         contexts = gpu.thread_contexts
@@ -113,21 +115,30 @@ class DetailedGPUSimulator:
         mshrs: List[float] = []
         mshr_capacity = MSHRS_PER_BANK * system.llc.banks
 
+        def serve(address: int, issue: float) -> Tuple[float, bool]:
+            """Serve one block at its bank from ``issue`` on; returns the
+            completion time and whether the row was already open."""
+            block = address >> 6
+            channel = block & (dram.channels - 1)
+            bank = (block >> channel_bits) & bank_mask
+            row = address >> row_shift
+            start = max(issue, bank_free[channel][bank], bus_free[channel])
+            row_hit = open_row[channel][bank] == row
+            open_row[channel][bank] = row
+            done = start + (row_hit_ns if row_hit else row_miss_ns)
+            bank_free[channel][bank] = done
+            bus_free[channel] = max(bus_free[channel], start) + transfer_ns
+            return done, row_hit
+
         addresses = trace.addresses.tolist()
         streams = trace.streams.tolist()
         writes = trace.writes.tolist()
-        if llc.policy.needs_future:
-            next_uses = next_use_indices(
-                trace.block_addresses(system.llc.block_bytes)
-            ).tolist()
-        else:
-            next_uses = None
+        outcomes = replayed.outcomes.tolist()
+        victims = replayed.victim_by_access()
 
-        access = llc.access
         finish_time = 0.0
         mshr_stalls = 0
         row_hits = 0
-        miss_count = 0
         warp_ready = 0.0
         position_in_warp = 0
 
@@ -142,8 +153,7 @@ class DetailedGPUSimulator:
 
             compute_ns = WORK_FLOPS_PER_ACCESS[stream] / flops_per_ns
             issue = warp_ready + compute_ns
-            next_use = next_uses[index] if next_uses is not None else NEVER
-            outcome = access(address, stream, write, next_use)
+            outcome = outcomes[index]
 
             if outcome == HIT:
                 done = issue + llc_hit_ns
@@ -151,54 +161,22 @@ class DetailedGPUSimulator:
                 # Reads (misses and bypasses) go to DRAM; an LLC miss
                 # also needs a free MSHR.
                 if outcome == MISS:
-                    miss_count += 1
                     while len(mshrs) >= mshr_capacity:
                         released = heapq.heappop(mshrs)
                         if released > issue:
                             mshr_stalls += 1
                             issue = released
-                block = address >> 6
-                channel = block & (dram.channels - 1)
-                bank = (block >> channel_bits) & bank_mask
-                row = address >> row_shift
-                start = max(issue, bank_free[channel][bank],
-                            bus_free[channel])
-                if open_row[channel][bank] == row:
-                    row_hits += 1
-                    service = row_hit_ns
-                else:
-                    open_row[channel][bank] = row
-                    service = row_miss_ns
-                done = start + service
-                bank_free[channel][bank] = done
-                bus_free[channel] = max(bus_free[channel], start) + transfer_ns
+                done, row_hit = serve(address, issue)
+                row_hits += row_hit
                 if outcome == MISS:
                     heapq.heappush(mshrs, done)
                 done += llc_hit_ns
 
-            if pending_writebacks:
-                # Dirty evictions drain to DRAM as posted writes at
-                # their true victim addresses (no context blocking).
-                for victim_address in pending_writebacks:
-                    victim_block = victim_address >> 6
-                    wb_channel = victim_block & (dram.channels - 1)
-                    wb_bank = (victim_block >> channel_bits) & bank_mask
-                    wb_row = victim_address >> row_shift
-                    wb_start = max(
-                        issue,
-                        bank_free[wb_channel][wb_bank],
-                        bus_free[wb_channel],
-                    )
-                    if open_row[wb_channel][wb_bank] == wb_row:
-                        wb_service = row_hit_ns
-                    else:
-                        open_row[wb_channel][wb_bank] = wb_row
-                        wb_service = row_miss_ns
-                    bank_free[wb_channel][wb_bank] = wb_start + wb_service
-                    bus_free[wb_channel] = (
-                        max(bus_free[wb_channel], wb_start) + transfer_ns
-                    )
-                pending_writebacks.clear()
+            victim_address = victims.get(index)
+            if victim_address is not None:
+                # A dirty eviction drains to DRAM as a posted write at
+                # its true victim address (no context blocking).
+                serve(victim_address, issue)
 
             if write and outcome != HIT:
                 # Posted writes do not block the context.
@@ -214,13 +192,13 @@ class DetailedGPUSimulator:
         while context_free:
             finish_time = max(finish_time, heapq.heappop(context_free))
 
-        total_memory_ops = max(1, llc.stats.misses + llc.stats.bypasses)
+        total_memory_ops = max(1, stats.misses + stats.bypasses)
         return DetailedTiming(
-            policy=llc.policy.name,
+            policy=replayed.result.policy,
             frame_ns=finish_time,
             accesses=len(trace),
-            misses=llc.stats.misses,
-            mshr_stall_fraction=mshr_stalls / max(1, llc.stats.misses),
+            misses=stats.misses,
+            mshr_stall_fraction=mshr_stalls / max(1, stats.misses),
             row_hit_rate=row_hits / total_memory_ops,
             scale=float(trace.meta.get("scale", system.scale or 1.0)),
         )

@@ -59,20 +59,6 @@ class DRAMTimingModel:
             self._prep_cycles[channel] += config.trp + config.trcd + config.tcas
         self._data_cycles[channel] += config.transfer_cycles
 
-    def writeback(self) -> None:
-        """Account one write-back whose victim address is unknown.
-
-        Write-backs are drained opportunistically; charge an average
-        cost of a half row-miss on the least-loaded channel.
-        """
-        config = self.config
-        channel = min(
-            range(config.channels), key=lambda c: self._data_cycles[c]
-        )
-        self.total_requests += 1
-        self._prep_cycles[channel] += (config.trp + config.trcd + config.tcas) / 2
-        self._data_cycles[channel] += config.transfer_cycles
-
     # -- window integration ----------------------------------------------------
 
     def drain_window_ns(self) -> float:

@@ -1,7 +1,8 @@
 """Frame-time simulation: LLC trace -> frames per second.
 
-The simulator replays a frame's LLC access trace through a functional
-LLC (any replacement policy) while integrating time window by window.
+The simulator replays a frame's LLC access trace once through the LLC
+(any replacement policy, on either engine — :func:`repro.sim.offline.replay`)
+and then integrates time window by window over the replay's record.
 Within a window, shading/fixed-function compute, LLC bank occupancy and
 DRAM service largely overlap — a GPU is a throughput machine — so the
 window's duration is their maximum plus the latency that the thread
@@ -17,15 +18,15 @@ import dataclasses
 import time
 from typing import Dict, Iterable, Optional
 
-from repro.cache.llc import BYPASS, MISS
+import numpy as np
+
+from repro.cache.llc import BYPASS, HIT, MISS
 from repro.config import SystemConfig
-from repro.core.base import NEVER
 from repro.gpu.dram import DRAMTimingModel
 from repro.gpu.llc_timing import LLCTimingModel
 from repro.gpu.shader import ShaderModel
 from repro.obs.spans import SpanRecorder
-from repro.sim.offline import PolicyLike, build_llc
-from repro.sim.future import next_use_indices
+from repro.sim.offline import PolicyLike, replay
 from repro.streams import Stream
 from repro.trace.record import Trace
 
@@ -48,9 +49,9 @@ class FrameTiming:
     dram_row_hit_rate: float
     #: Linear frame scale the trace was generated at (for FPS correction).
     scale: float = 1.0
-    #: Wall-clock spent preparing the run (array conversion, next-use
-    #: precompute) vs. integrating the windows — mirrors
-    #: :class:`~repro.sim.results.SimResult`.
+    #: Wall-clock spent preparing the LLC replay (array conversion,
+    #: next-use precompute) vs. replaying it and integrating the windows
+    #: — mirrors :class:`~repro.sim.results.SimResult`.
     setup_seconds: float = 0.0
     replay_seconds: float = 0.0
 
@@ -107,95 +108,79 @@ class FrameTimingSimulator:
         trace: Trace,
         policy: PolicyLike,
         spans: Optional[SpanRecorder] = None,
+        engine: str = "auto",
     ) -> FrameTiming:
+        """Model one frame under ``policy``.
+
+        One LLC replay on ``engine`` (resolved as by
+        :func:`~repro.sim.offline.simulate_trace`) records its ``setup``
+        and ``replay`` spans; integrating the windows over its record
+        adds a ``timing`` span.
+        """
         system = self.system
         if spans is None:
             spans = SpanRecorder()
+        replayed = replay(trace, policy, system.llc, spans, engine)
         dram = DRAMTimingModel(system.dram)
-        # Dirty evictions reach DRAM with their true victim addresses,
-        # so write traffic participates in row-locality modeling.
-        llc = build_llc(
-            policy,
-            system.llc,
-            writeback_sink=lambda address: dram.request(address, True),
-        )
         shader = ShaderModel(system.gpu)
         llc_timing = LLCTimingModel(system.llc, system.gpu)
-
-        setup_started = time.perf_counter()
-        with spans.span("setup"):
-            addresses = trace.addresses.tolist()
-            streams = trace.streams.tolist()
-            writes = trace.writes.tolist()
-            if llc.policy.needs_future:
-                next_uses = next_use_indices(
-                    trace.block_addresses(system.llc.block_bytes)
-                ).tolist()
-            else:
-                next_uses = None
-        setup_seconds = time.perf_counter() - setup_started
 
         total_ns = 0.0
         compute_total = 0.0
         dram_total = 0.0
         llc_total = 0.0
         exposed_total = 0.0
-        window_counts: Dict[int, int] = {int(s): 0 for s in Stream}
-        window_misses = 0
-        window_lookups = 0
-        access = llc.access
+        timing_started = time.perf_counter()
+        with spans.span("timing"):
+            outcomes = replayed.outcomes
+            addresses = trace.addresses.tolist()
+            # A miss reads its block; a bypass passes the access through.
+            request_writes = (trace.writes & (outcomes == BYPASS)).tolist()
+            victims = replayed.victim_by_access()
+            for start in range(0, len(trace), WINDOW_ACCESSES):
+                stop = start + WINDOW_ACCESSES
+                window = outcomes[start:stop]
+                # DRAM sees only misses, bypasses and dirty victims.
+                for index in (np.flatnonzero(window != HIT) + start).tolist():
+                    victim = victims.get(index)
+                    if victim is not None:
+                        # A dirty victim writes back at its true address,
+                        # before the miss that evicted it fetches.
+                        dram.request(victim, True)
+                    dram.request(addresses[index], request_writes[index])
+                counts = np.bincount(
+                    trace.streams[start:stop], minlength=len(Stream)
+                )
+                dram_ns = dram.drain_window_ns()
+                compute_ns = shader.compute_ns(dict(enumerate(counts.tolist())))
+                llc_ns = llc_timing.occupancy_ns(len(window))
+                miss_latency = (
+                    dram.average_latency_ns() + llc_timing.hit_latency_ns
+                )
+                exposed_ns = shader.exposed_latency_ns(
+                    int(np.count_nonzero(window == MISS)), miss_latency
+                )
+                total_ns += max(compute_ns, dram_ns, llc_ns) + exposed_ns
+                compute_total += compute_ns
+                dram_total += dram_ns
+                llc_total += llc_ns
+                exposed_total += exposed_ns
+        timing_seconds = time.perf_counter() - timing_started
 
-        def close_window() -> None:
-            nonlocal total_ns, compute_total, dram_total, llc_total
-            nonlocal exposed_total, window_misses, window_lookups
-            dram_ns = dram.drain_window_ns()
-            compute_ns = shader.compute_ns(window_counts)
-            llc_ns = llc_timing.occupancy_ns(window_lookups)
-            miss_latency = dram.average_latency_ns() + llc_timing.hit_latency_ns
-            exposed_ns = shader.exposed_latency_ns(window_misses, miss_latency)
-            total_ns += max(compute_ns, dram_ns, llc_ns) + exposed_ns
-            compute_total += compute_ns
-            dram_total += dram_ns
-            llc_total += llc_ns
-            exposed_total += exposed_ns
-            for key in window_counts:
-                window_counts[key] = 0
-            window_misses = 0
-            window_lookups = 0
-
-        replay_started = time.perf_counter()
-        with spans.span("replay"):
-            for index, (address, stream, write) in enumerate(
-                zip(addresses, streams, writes)
-            ):
-                next_use = next_uses[index] if next_uses is not None else NEVER
-                outcome = access(address, stream, write, next_use)
-                window_counts[stream] += 1
-                window_lookups += 1
-                if outcome == MISS:
-                    dram.request(address, False)
-                    window_misses += 1
-                elif outcome == BYPASS:
-                    # Uncached accesses go straight to DRAM (read or write).
-                    dram.request(address, write)
-                if (index + 1) % WINDOW_ACCESSES == 0:
-                    close_window()
-            close_window()
-        replay_seconds = time.perf_counter() - replay_started
-
+        result = replayed.result
         return FrameTiming(
-            policy=llc.policy.name,
+            policy=result.policy,
             frame_ns=total_ns,
             compute_ns=compute_total,
             dram_ns=dram_total,
             llc_ns=llc_total,
             exposed_ns=exposed_total,
             accesses=len(trace),
-            misses=llc.stats.misses,
+            misses=result.misses,
             dram_row_hit_rate=dram.row_hit_rate,
             scale=float(trace.meta.get("scale", system.scale or 1.0)),
-            setup_seconds=setup_seconds,
-            replay_seconds=replay_seconds,
+            setup_seconds=result.setup_seconds,
+            replay_seconds=result.replay_seconds + timing_seconds,
         )
 
 

@@ -8,8 +8,11 @@ simulator ... The offline model digests the LLC load/store access trace".
 
 from __future__ import annotations
 
+import array
 import time
-from typing import Iterable, Optional
+from typing import Dict, Iterable, Optional
+
+import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.llc import LLC, LLCObserver
@@ -19,11 +22,11 @@ from repro.core.registry import PolicyLike, resolve_policy
 from repro.core.rrip import RRIPPolicy
 from repro.obs.spans import SpanRecorder
 from repro.sim.future import next_use_indices
-from repro.sim.results import SimResult
+from repro.sim.results import Replay, SimResult
 from repro.streams import Stream, StreamClass
 from repro.trace.record import Trace
 
-__all__ = ["PolicyLike", "build_llc", "simulate_trace"]
+__all__ = ["PolicyLike", "build_llc", "replay", "simulate_trace"]
 
 
 def build_llc(
@@ -78,9 +81,52 @@ def simulate_trace(
         return fast_simulate_trace(
             trace, policy, llc_config, uncached_streams, spans
         )
+    return _reference(
+        trace, policy, llc_config, uncached_streams, observer, spans
+    ).result
+
+
+def replay(
+    trace: Trace,
+    policy: PolicyLike,
+    llc_config: Optional[LLCConfig] = None,
+    spans: Optional[SpanRecorder] = None,
+    engine: str = "auto",
+) -> Replay:
+    """Replay ``trace`` once and keep what the LLC did to every access.
+
+    The returned :class:`~repro.sim.results.Replay` carries the same
+    :class:`~repro.sim.results.SimResult` as :func:`simulate_trace` plus
+    the per-access outcome codes and the ordered dirty victims — all a
+    timing model or miss classifier needs, so none of them runs its own
+    LLC.  ``engine`` resolves as in :func:`simulate_trace`; both engines
+    return identical records.
+    """
+    from repro.fastsim.dispatch import ENGINE_FAST, choose_engine
+    from repro.fastsim.engine import fast_replay
+
+    if choose_engine(engine, policy) == ENGINE_FAST:
+        return fast_replay(trace, policy, llc_config, spans=spans)
+    return _reference(trace, policy, llc_config, spans=spans)
+
+
+def _reference(
+    trace: Trace,
+    policy: PolicyLike,
+    llc_config: Optional[LLCConfig] = None,
+    uncached_streams: Optional[Iterable[Stream]] = None,
+    observer: Optional[LLCObserver] = None,
+    spans: Optional[SpanRecorder] = None,
+) -> Replay:
+    """The reference engine: one hook-driven ``LLC.access`` per access."""
     if spans is None:
         spans = SpanRecorder()
-    llc = build_llc(policy, llc_config, uncached_streams, observer)
+    # Evicting access index -> dirty victim address, in eviction order
+    # (an access evicts at most one block).
+    victims: Dict[int, int] = {}
+    llc = build_llc(
+        policy, llc_config, uncached_streams, observer, victims.__setitem__
+    )
     # Setup covers the array conversions and the next-use precompute —
     # separate from replay so Belady runs don't report inflated replay
     # time (the precompute alone can dominate).
@@ -97,16 +143,18 @@ def simulate_trace(
             next_uses = None
     setup_seconds = time.perf_counter() - setup_started
     access = llc.access
+    outcomes = array.array("b")
+    record = outcomes.append
     replay_started = time.perf_counter()
     with spans.span("replay"):
         if next_uses is not None:
             for address, stream, write, next_use in zip(
                 addresses, streams, writes, next_uses
             ):
-                access(address, stream, write, next_use)
+                record(access(address, stream, write, next_use))
         else:
             for address, stream, write in zip(addresses, streams, writes):
-                access(address, stream, write, NEVER)
+                record(access(address, stream, write, NEVER))
     replay_seconds = time.perf_counter() - replay_started
     result = SimResult(
         policy=llc.policy.name,
@@ -125,4 +173,9 @@ def simulate_trace(
             )
             for sclass in StreamClass
         }
-    return result
+    return Replay(
+        result=result,
+        outcomes=np.frombuffer(outcomes, dtype=np.int8),
+        victim_indices=np.array(list(victims), dtype=np.int64),
+        victim_addresses=np.array(list(victims.values()), dtype=np.uint64),
+    )

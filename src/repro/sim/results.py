@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Mapping, Sequence
 
+import numpy as np
+
 from repro.cache.stats import LLCStats
 from repro.errors import SimulationError
 
@@ -65,6 +67,32 @@ class SimResult:
         if baseline.misses == 0:
             return 1.0 if self.misses == 0 else float("inf")
         return self.misses / baseline.misses
+
+
+@dataclasses.dataclass
+class Replay:
+    """One replay's :class:`SimResult` plus what the LLC did per access.
+
+    The record every consumer of a replay reads instead of running its
+    own LLC: the GPU timing models walk it, and the miss classifier
+    buckets it.  Both engines produce identical records.
+    """
+
+    result: SimResult
+    #: ``int8`` code of every access, as :meth:`~repro.cache.llc.LLC.access`
+    #: returns it: ``MISS``, ``HIT`` or ``BYPASS``.
+    outcomes: np.ndarray
+    #: Dirty victims in eviction order: the index of the access whose
+    #: fill evicted each one (``int64``), and its byte address
+    #: (``uint64``).  An access evicts at most one block.
+    victim_indices: np.ndarray
+    victim_addresses: np.ndarray
+
+    def victim_by_access(self) -> Dict[int, int]:
+        """``{access index: its dirty victim's byte address}``."""
+        return dict(
+            zip(self.victim_indices.tolist(), self.victim_addresses.tolist())
+        )
 
 
 def normalized_miss_table(

@@ -44,85 +44,6 @@ class TraceStats:
         return {stream: self.stream_fraction(stream) for stream in ALL_STREAMS}
 
 
-def reuse_distances(trace: Trace) -> np.ndarray:
-    """LRU stack distances of every access, at 64 B block granularity.
-
-    The stack distance of an access is the number of *distinct* blocks
-    touched since the previous access to the same block — the classic
-    single-pass characterization: an access hits in a fully-associative
-    LRU cache of ``C`` blocks iff its stack distance is ``< C``, so the
-    distance histogram is the miss-rate curve for every capacity at
-    once.  Cold (first-touch) accesses report ``-1``.
-
-    Runs in ``O(n log n)`` with a Fenwick tree over access positions:
-    each block keeps a marker at its previous access position; the
-    distance of a re-access is the number of markers strictly between
-    the previous position and now.
-    """
-    n = len(trace)
-    distances = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return distances
-    blocks = trace.block_addresses()
-    # Dense block ids so the last-seen table is an array, not a dict.
-    _, ids = np.unique(blocks, return_inverse=True)
-    ids = ids.astype(np.int64)
-    last_seen = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
-    tree = np.zeros(n + 1, dtype=np.int64)  # Fenwick over positions 1..n
-
-    def add(pos: int, delta: int) -> None:
-        pos += 1
-        while pos <= n:
-            tree[pos] += delta
-            pos += pos & -pos
-
-    def prefix(pos: int) -> int:  # markers in positions [0, pos)
-        total = 0
-        while pos > 0:
-            total += tree[pos]
-            pos -= pos & -pos
-        return total
-
-    ids_list = ids.tolist()  # ~3x faster iteration than ndarray indexing
-    for index, block_id in enumerate(ids_list):
-        previous = last_seen[block_id]
-        if previous >= 0:
-            distances[index] = prefix(index) - prefix(previous + 1)
-            add(previous, -1)
-        add(index, 1)
-        last_seen[block_id] = index
-    return distances
-
-
-def reuse_distance_summary(trace: Trace) -> Dict[str, float]:
-    """JSON-ready digest of :func:`reuse_distances`.
-
-    ``cold_fraction`` is the share of first-touch accesses; the
-    percentiles describe the stack-distance distribution of the
-    *re-accesses* only (in 64 B blocks — compare directly against an
-    LLC capacity in blocks).
-    """
-    distances = reuse_distances(trace)
-    reused = distances[distances >= 0]
-    summary: Dict[str, float] = {
-        "accesses": float(len(distances)),
-        "cold_fraction": (
-            1.0 - len(reused) / len(distances) if len(distances) else 0.0
-        ),
-    }
-    if len(reused):
-        summary.update(
-            mean=float(reused.mean()),
-            p50=float(np.percentile(reused, 50)),
-            p90=float(np.percentile(reused, 90)),
-            p99=float(np.percentile(reused, 99)),
-            max=float(reused.max()),
-        )
-    else:
-        summary.update(mean=0.0, p50=0.0, p90=0.0, p99=0.0, max=0.0)
-    return summary
-
-
 def compute_trace_stats(trace: Trace) -> TraceStats:
     """Compute :class:`TraceStats` for ``trace`` in a single pass."""
     blocks = trace.block_addresses()

@@ -70,10 +70,16 @@ def test_faster_part_is_faster():
 
 
 def test_writeback_accounting():
+    """A posted write-back is an ordinary request at its victim address:
+    it counts once, and a second write to its row is a row hit."""
     dram = DRAMTimingModel(DDR3_1600)
-    dram.writeback()
+    dram.request(0, True)
     assert dram.total_requests == 1
+    assert dram.total_row_hits == 0
     assert dram.drain_window_ns() > 0.0
+    dram.request(SAME_BANK_STRIDE, True)  # same channel, bank and row
+    assert dram.total_requests == 2
+    assert dram.total_row_hits == 1
 
 
 def test_average_latency_between_hit_and_miss():

@@ -192,17 +192,29 @@ class TestPolicyIntegration:
 
 class TestWritebackSink:
     def test_sink_receives_victim_addresses(self):
+        """The sink gets the evicting access's index and the victim's
+        byte address."""
         received = []
         geometry = CacheGeometry(num_sets=1, ways=1)
-        llc = LLC(geometry, LRUPolicy(), writeback_sink=received.append)
+        llc = LLC(
+            geometry,
+            LRUPolicy(),
+            writeback_sink=lambda index, address: received.append(
+                (index, address)
+            ),
+        )
         llc.access(_addr(5), Stream.RT, is_write=True)
         llc.access(_addr(6), Stream.Z)  # evicts dirty block 5
-        assert received == [_addr(5)]
+        assert received == [(1, _addr(5))]
 
     def test_sink_skipped_for_clean_victims(self):
         received = []
         geometry = CacheGeometry(num_sets=1, ways=1)
-        llc = LLC(geometry, LRUPolicy(), writeback_sink=received.append)
+        llc = LLC(
+            geometry,
+            LRUPolicy(),
+            writeback_sink=lambda index, address: received.append(address),
+        )
         llc.access(_addr(5), Stream.Z)
         llc.access(_addr(6), Stream.Z)
         assert received == []

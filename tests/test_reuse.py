@@ -6,6 +6,7 @@ import pytest
 from repro.analysis.reuse import (
     COLD,
     compute_reuse_profile,
+    reuse_distance_summary,
     reuse_distances,
 )
 from repro.streams import Stream
@@ -51,6 +52,38 @@ def test_cyclic_scan_distance_equals_footprint():
     distances = reuse_distances(trace.block_addresses().tolist())
     # Every second-round access sees all 31 other blocks in between.
     assert set(distances[32:].tolist()) == {31}
+
+
+def test_reuse_distance_summary_by_hand():
+    # a a b c d a: distances COLD, 0, COLD, COLD, COLD, 3 ({b, c, d}).
+    trace = make_trace(
+        [(block, Stream.TEXTURE) for block in (1, 1, 2, 3, 4, 1)]
+    )
+    summary = reuse_distance_summary(trace)
+    assert summary == pytest.approx(
+        {
+            "accesses": 6.0,
+            "cold_fraction": 4 / 6,
+            "mean": 1.5,
+            "p50": 1.5,
+            "p90": 2.7,
+            "p99": 2.97,
+            "max": 3.0,
+        }
+    )
+
+
+def test_reuse_distance_summary_all_cold():
+    trace = make_trace([(block, Stream.Z) for block in range(5)])
+    assert reuse_distance_summary(trace) == {
+        "accesses": 5.0,
+        "cold_fraction": 1.0,
+        "mean": 0.0,
+        "p50": 0.0,
+        "p90": 0.0,
+        "p99": 0.0,
+        "max": 0.0,
+    }
 
 
 def test_profile_cold_fraction():
