@@ -7,12 +7,13 @@ agrees on what was simulated and what came out::
     PYTHONPATH=src python benchmarks/diff_manifest_metrics.py out_ref out_fast
 
 Only the deterministic sections are compared — ``policy``, ``trace``,
-``metrics``, ``extras`` and ``config`` — because the rest legitimately
-differs between engines: timestamps, phase timings, the ``engine``
-field itself, and ``events`` (the fast engine records no event
-telemetry).  ``engine`` fields are ignored at *any* nesting depth:
-sweep manifests record the engine per job inside ``metrics`` and again
-in ``config``.  Directories must contain the same manifest filenames.
+``metrics``, ``extras``, ``config`` and ``events`` (the sampled event
+summary, read off each engine's identical replay record) — because the
+rest legitimately differs between engines: timestamps, phase timings
+and the ``engine`` field itself.  ``engine`` fields are ignored at
+*any* nesting depth: sweep manifests record the engine per job inside
+``metrics`` and again in ``config``.  Directories must contain the same
+manifest filenames.
 """
 
 import argparse
@@ -20,7 +21,7 @@ import json
 import os
 import sys
 
-COMPARED_KEYS = ("policy", "trace", "metrics", "extras", "config")
+COMPARED_KEYS = ("policy", "trace", "metrics", "extras", "config", "events")
 
 
 def load(path: str) -> dict:

@@ -14,7 +14,7 @@ from typing import Dict, Optional
 
 from repro.cache.stats import LLCStats
 from repro.config import LLCConfig
-from repro.sim.epochs import EpochStats, EpochTracker, MultiEpochTracker
+from repro.sim.epochs import EpochStats, EpochTracker
 from repro.sim.offline import PolicyLike, simulate_trace
 from repro.sim.results import SimResult
 from repro.streams import Stream, StreamClass
@@ -67,19 +67,21 @@ def characterize_frame(
     trace: Trace,
     policy: PolicyLike = "belady",
     llc_config: Optional[LLCConfig] = None,
+    engine: str = "auto",
 ) -> FrameCharacterization:
-    """Measure one frame under one policy with epoch tracking enabled."""
-    llc_config = llc_config or LLCConfig()
-    slots = llc_config.num_sets * llc_config.ways
-    tex_tracker = EpochTracker(StreamClass.TEX, slots)
-    z_tracker = EpochTracker(StreamClass.Z, slots)
-    observer = MultiEpochTracker([tex_tracker, z_tracker])
-    result = simulate_trace(trace, policy, llc_config, observer=observer)
+    """Measure one frame under one policy with epoch tracking enabled.
+
+    ``engine`` resolves as in :func:`~repro.sim.offline.simulate_trace`.
+    """
+    tracker = EpochTracker()
+    result = simulate_trace(
+        trace, policy, llc_config, observer=tracker, engine=engine
+    )
     return FrameCharacterization(
         policy=result.policy,
         trace_stats=compute_trace_stats(trace),
         llc_stats=result.stats,
-        tex_epochs=tex_tracker.finalize(),
-        z_epochs=z_tracker.finalize(),
+        tex_epochs=tracker.stats[StreamClass.TEX],
+        z_epochs=tracker.stats[StreamClass.Z],
         result=result,
     )

@@ -14,11 +14,13 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
+import numpy as np
+
+from repro.cache.geometry import CacheGeometry
 from repro.cache.llc import HIT
 from repro.config import LLCConfig
-from repro.core.base import NEVER
-from repro.sim.future import next_use_indices
-from repro.sim.offline import PolicyLike, build_llc
+from repro.sim.epochs import rt_consumptions
+from repro.sim.offline import PolicyLike, replay
 from repro.streams import ALL_STREAMS, Stream
 from repro.trace.record import Trace
 
@@ -55,55 +57,26 @@ def phase_profile(
     window: int = 8192,
 ) -> List[PhaseWindow]:
     """Replay ``trace`` and return its per-window phase series."""
-    llc = build_llc(policy, llc_config or LLCConfig())
+    llc_config = llc_config or LLCConfig()
+    outcomes = replay(trace, policy, llc_config).outcomes
+    block_bits = CacheGeometry.from_config(llc_config).block_bits
+    consumed = rt_consumptions(trace, outcomes, block_bits)
+    hits = outcomes == HIT
     windows: List[PhaseWindow] = []
-    counts: Dict[Stream, int] = {stream: 0 for stream in ALL_STREAMS}
-    hits = 0
-    consumed_before = 0
-    start = 0
-    access = llc.access
-    addresses = trace.addresses.tolist()
-    streams = trace.streams.tolist()
-    writes = trace.writes.tolist()
-    if llc.policy.needs_future:
-        next_uses = next_use_indices(
-            trace.block_addresses(llc.geometry.block_bytes)
-        ).tolist()
-    else:
-        next_uses = None
-
-    def close(end_index: int) -> None:
-        nonlocal counts, hits, consumed_before, start
-        accesses = end_index - start
-        if accesses <= 0:
-            return
+    for start in range(0, len(trace), window):
+        stop = min(start + window, len(trace))
+        counts = np.bincount(trace.streams[start:stop], minlength=len(Stream))
         windows.append(
             PhaseWindow(
                 start_index=start,
-                accesses=accesses,
-                hits=hits,
-                stream_counts=dict(counts),
-                rt_consumed=llc.stats.rt_consumed - consumed_before,
+                accesses=stop - start,
+                hits=int(np.count_nonzero(hits[start:stop])),
+                stream_counts={
+                    stream: int(counts[stream]) for stream in ALL_STREAMS
+                },
+                rt_consumed=int(np.count_nonzero(consumed[start:stop])),
             )
         )
-        counts = {stream: 0 for stream in ALL_STREAMS}
-        hits = 0
-        consumed_before = llc.stats.rt_consumed
-        start = end_index
-
-    for index in range(len(addresses)):
-        outcome = access(
-            addresses[index],
-            streams[index],
-            writes[index],
-            next_uses[index] if next_uses is not None else NEVER,
-        )
-        counts[Stream(streams[index])] += 1
-        if outcome == HIT:
-            hits += 1
-        if index + 1 - start >= window:
-            close(index + 1)
-    close(len(addresses))
     return windows
 
 

@@ -10,9 +10,7 @@ deliberately independent of any policy's own state so every policy can
 be characterized identically (Figures 5, 6, 13).
 
 Replacement decisions are delegated to a
-:class:`~repro.core.base.ReplacementPolicy` through the hook interface;
-an optional *observer* (e.g. the epoch tracker of
-:mod:`repro.sim.epochs`) receives fill/hit/evict events.
+:class:`~repro.core.base.ReplacementPolicy` through the hook interface.
 """
 
 from __future__ import annotations
@@ -33,33 +31,6 @@ _TEX_CLASS = int(StreamClass.TEX)
 _RT_CLASS = int(StreamClass.RT)
 
 
-class LLCObserver:
-    """Event sink for characterization tools (all hooks optional).
-
-    An observer may expose an ``engine_sample_period`` attribute (int,
-    default 1).  With period ``N > 1`` the engine forwards only the
-    events of every ``N``-th access — all of that access's events
-    together (a miss's fill and evict stay paired) — skipping the hook
-    dispatch entirely for the rest, so sampling observers cost almost
-    nothing in the hot path.  Observers that need the full event stream
-    (e.g. the epoch tracker) simply omit the attribute.
-    """
-
-    # Empty slots so subclasses may opt into __slots__ for cheap
-    # attribute access in the per-event hooks.
-    __slots__ = ()
-
-    def on_hit(self, ctx: AccessContext, slot: int, was_rt: bool) -> None:
-        """A hit on block slot ``slot``; ``was_rt`` is the engine RT bit
-        *before* this access's consumption handling."""
-
-    def on_fill(self, ctx: AccessContext, slot: int) -> None:
-        """A new block was installed in ``slot``."""
-
-    def on_evict(self, ctx: AccessContext, slot: int) -> None:
-        """The block in ``slot`` is about to be evicted."""
-
-
 class LLC:
     """A banked, set-associative LLC driven by a replacement policy."""
 
@@ -68,29 +39,12 @@ class LLC:
         geometry: CacheGeometry,
         policy: ReplacementPolicy,
         uncached_streams: Iterable[Stream] = (),
-        observer: Optional[LLCObserver] = None,
         writeback_sink=None,
     ) -> None:
         self.geometry = geometry
         self.policy = policy
         policy.bind(geometry)
         self.stats = LLCStats()
-        self.observer = observer
-        # Pre-bound hook methods: one attribute load per event instead
-        # of an observer lookup plus a method lookup in the hot path.
-        self._on_hit = observer.on_hit if observer is not None else None
-        self._on_fill = observer.on_fill if observer is not None else None
-        self._on_evict = observer.on_evict if observer is not None else None
-        # Observer decimation (see LLCObserver): period 0 = no observer,
-        # 1 = every access forwarded, N = every N-th access forwarded.
-        self._obs_period = (
-            max(1, int(getattr(observer, "engine_sample_period", 1)))
-            if observer is not None
-            else 0
-        )
-        self._obs_countdown = 1
-        #: Whether the current access's events reach the observer.
-        self._obs_live = self._obs_period == 1
         #: Optional callable(access_index, byte_address) invoked for
         #: every dirty eviction — the index is the evicting access's
         #: position, as :func:`repro.sim.offline.replay` records it.
@@ -142,14 +96,6 @@ class LLC:
         ctx.is_write = is_write
         ctx.next_use = next_use
 
-        if self._obs_period > 1:
-            self._obs_countdown -= 1
-            if not self._obs_countdown:
-                self._obs_countdown = self._obs_period
-                self._obs_live = True
-            else:
-                self._obs_live = False
-
         per_stream = self._per_stream[stream_int]
 
         if stream_int in self._uncached:
@@ -198,8 +144,6 @@ class LLC:
         if ctx.is_write:
             self._dirty[slot] = True
         self._stream[slot] = ctx.stream
-        if self._obs_live:
-            self._on_hit(ctx, slot, was_rt)
         self.policy.on_hit(ctx, way)
 
     def _fill(self, ctx: AccessContext) -> None:
@@ -222,8 +166,6 @@ class LLC:
         self._rt_flag[slot] = is_rt
         if is_rt:
             stats.rt_produced += 1
-        if self._obs_live:
-            self._on_fill(ctx, slot)
         self.policy.on_fill(ctx, way)
 
     def _evict(self, ctx: AccessContext, set_index: int, way: int) -> None:
@@ -237,8 +179,6 @@ class LLC:
                 self.writeback_sink(
                     ctx.index, self._tag[slot] << self.geometry.block_bits
                 )
-        if self._obs_live:
-            self._on_evict(ctx, slot)
         self.policy.on_evict(ctx, way)
         self._rt_flag[slot] = False
         del self._lookup[set_index][self._tag[slot]]

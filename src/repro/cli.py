@@ -32,7 +32,7 @@ from repro.core.registry import available_policies
 from repro.errors import ReproError
 from repro.gpu.timing import FrameTimingSimulator
 from repro.obs import log as obs_log
-from repro.fastsim.dispatch import ENGINE_AUTO, ENGINE_FAST, ENGINES, choose_engine
+from repro.fastsim.dispatch import ENGINE_AUTO, ENGINES, choose_engine
 from repro.obs.manifest import sim_manifest, timing_manifest, write_manifest
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracing import TraceContext
@@ -176,17 +176,9 @@ def _simulate(
     """
     from repro.obs.events import SamplingObserver
 
-    # An explicit --engine fast wins over telemetry: the fast kernels
-    # have no observer hooks, so such runs record spans but no events.
-    # Under auto, telemetry keeps the observer and therefore routes the
-    # policy to the reference engine.
-    observer = (
-        SamplingObserver()
-        if args.metrics_out and args.engine != ENGINE_FAST
-        else None
-    )
+    observer = SamplingObserver() if args.metrics_out else None
     spans = SpanRecorder() if args.metrics_out or args.trace_out else None
-    engine_used = choose_engine(args.engine, policy, observer)
+    engine_used = choose_engine(args.engine, policy)
     root = contextlib.nullcontext()
     if args.trace_out:
         spans.enable_events(

@@ -150,7 +150,7 @@ def frame_characterization(
     key = _cache_key(spec, policy, config)
     if key not in _CHAR_CACHE:
         _CHAR_CACHE[key] = characterize_frame(
-            frame_trace(spec, config), policy, config.llc()
+            frame_trace(spec, config), policy, config.llc(), engine=config.engine
         )
     return _CHAR_CACHE[key]
 

@@ -5,9 +5,7 @@ specialize into a flat loop: ``nru``, ``lru``, ``srrip``, ``drrip``
 (any RRPV width, set-dueling included), ``belady``, and the paper's
 GSPC family — ``gspztc``, ``gspztc+tse``, and ``gspc`` (epoch/TSE
 state machine plus PROD/CONS render-target protection).  Everything
-else — SHiP, GS-DRRIP, ``gspc+bypass``, and any run that attaches an
-:class:`~repro.cache.llc.LLCObserver` (the fast kernels have no event
-hooks) — uses the reference engine.
+else — SHiP, GS-DRRIP, ``gspc+bypass`` — uses the reference engine.
 
 ``auto`` (the default everywhere) picks the fast engine exactly when it
 is applicable and silently falls back otherwise, so results never
@@ -90,14 +88,11 @@ def supports_policy(policy: PolicyLike) -> bool:
     return kernel_kind(instance) is not None
 
 
-def choose_engine(
-    engine: str, policy: PolicyLike, observer: Optional[object] = None
-) -> str:
+def choose_engine(engine: str, policy: PolicyLike) -> str:
     """Resolve an ``--engine`` request into ``reference`` or ``fast``.
 
     Raises :class:`~repro.errors.SimulationError` for an unknown engine
-    name, and for ``fast`` when the run cannot take the fast path (the
-    policy has no kernel, or an observer is attached).
+    name, and for ``fast`` when the policy has no kernel.
     """
     if engine not in ENGINES:
         known = ", ".join(ENGINES)
@@ -107,11 +102,6 @@ def choose_engine(
     instance, _ = resolve_policy(policy)
     covered = kernel_kind(instance) is not None
     if engine == ENGINE_FAST:
-        if observer is not None:
-            raise SimulationError(
-                "the fast engine has no observer hooks; drop the observer "
-                "or use --engine reference"
-            )
         if not covered:
             supported = ", ".join(FAST_POLICIES)
             raise SimulationError(
@@ -119,6 +109,4 @@ def choose_engine(
                 f"(covered: {supported}); use --engine auto or reference"
             )
         return ENGINE_FAST
-    if observer is not None or not covered:
-        return ENGINE_REFERENCE
-    return ENGINE_FAST
+    return ENGINE_FAST if covered else ENGINE_REFERENCE

@@ -5,9 +5,10 @@ observable-for-observable: the same ``setup``/``replay`` span names,
 the same ``SimResult`` fields and stats, the same
 ``fill_distant_fraction`` extras for RRIP-family policies, and the same
 per-access replay record.  ``fast_simulate_trace`` is its
-``SimResult``.  Both refuse (rather than silently degrade) to run a
-policy without a kernel — engine *selection* lives in
-:mod:`repro.fastsim.dispatch`.
+``SimResult``, after handing the record to an optional observer as
+:func:`repro.sim.offline.simulate_trace` does.  Both refuse (rather
+than silently degrade) to run a policy without a kernel — engine
+*selection* lives in :mod:`repro.fastsim.dispatch`.
 """
 
 from __future__ import annotations
@@ -40,9 +41,14 @@ def fast_simulate_trace(
     llc_config: Optional[LLCConfig] = None,
     uncached_streams: Optional[Iterable[Stream]] = None,
     spans: Optional[SpanRecorder] = None,
+    observer=None,
 ) -> SimResult:
     """Replay ``trace`` under ``policy`` through the fast engine."""
-    return fast_replay(trace, policy, llc_config, uncached_streams, spans).result
+    record = fast_replay(trace, policy, llc_config, uncached_streams, spans)
+    if observer is not None:
+        geometry = CacheGeometry.from_config(llc_config or LLCConfig())
+        observer.observe(trace, record, geometry)
+    return record.result
 
 
 def fast_replay(
@@ -107,6 +113,7 @@ def fast_replay(
         victim_indices = decoded.kept[victim_indices]
     victim_blocks = np.array(counters["victim_blocks"], dtype=np.uint64)
     victim_addresses = victim_blocks << np.uint64(geometry.block_bits)
+    resident = np.sort(np.array(counters["resident"], dtype=np.uint64))
 
     result = SimResult(
         policy=instance.name,
@@ -121,7 +128,13 @@ def fast_replay(
         result.extras["fill_distant_fraction"] = _fill_distant_fractions(
             counters["fill_counts"], instance.distant_rrpv
         )
-    return Replay(result, outcomes, victim_indices, victim_addresses)
+    return Replay(
+        result,
+        outcomes,
+        victim_indices,
+        victim_addresses,
+        resident << np.uint64(geometry.block_bits),
+    )
 
 
 def _assemble_stats(counters: dict, trace: Trace, outcomes: np.ndarray) -> LLCStats:
@@ -146,7 +159,7 @@ def _assemble_stats(counters: dict, trace: Trace, outcomes: np.ndarray) -> LLCSt
     bypass_writes = int(np.count_nonzero(trace.writes[outcomes == BYPASS]))
     writebacks = len(counters["victim_at"])
     stats.fills = sum(counts[MISS])
-    stats.evictions = stats.fills - counters["resident"]
+    stats.evictions = stats.fills - len(counters["resident"])
     stats.writebacks = writebacks
     stats.tex_inter_hits = counters["tex_inter_hits"]
     stats.tex_intra_hits = counters["tex_intra_hits"]

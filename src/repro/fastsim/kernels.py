@@ -20,10 +20,11 @@ They lean on C-level list primitives — ``list.index`` with bounds,
 on miss-heavy traces.  Stream-class constants are inlined: ``0`` is Z,
 ``1`` is TEX, ``2`` is RT (:data:`repro.streams.StreamClass`).
 
-Every kernel also returns its replay record (outcome codes and dirty
-victims, see :class:`~repro.sim.results.Replay`), written on the hit
-path and at the one eviction site; the engine derives per-stream counts,
-fills, evictions, DRAM traffic and write-backs from it.
+Every kernel also returns its replay record (outcome codes, dirty
+victims and the blocks left resident, see
+:class:`~repro.sim.results.Replay`), written on the hit path and at the
+one eviction site; the engine derives per-stream counts, fills,
+evictions, DRAM traffic and write-backs from it.
 
 The GSPC family (``gspztc``, ``gspztc_tse``, ``gspc``) adds per-bank
 saturating counters and a per-line epoch state array on top of the
@@ -94,7 +95,7 @@ ${select_victim}
             rt[slot] = False
 ${on_fill}
     return {
-        "resident": sum(filled),
+        "resident": list(lookup),
         "tex_inter_hits": tex_inter,
         "tex_intra_hits": tex_intra,
         "rt_produced": rt_prod,

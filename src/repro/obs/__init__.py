@@ -7,8 +7,8 @@ Four small, dependency-free pieces that every execution path shares:
 * :mod:`repro.obs.spans` — nested ``with span("replay")`` timing blocks
   aggregating into a per-run phase breakdown.
 * :mod:`repro.obs.events` — :class:`~repro.obs.events.SamplingObserver`,
-  an :class:`~repro.cache.llc.LLCObserver` cheap enough to leave on,
-  with per-stream/per-set counts and a sampled event ring.
+  which reads a replay record's sampled events into per-stream/per-set
+  counts and an event ring.
 * :mod:`repro.obs.manifest` — JSON run manifests (config + trace +
   metrics + phase timings + event summaries) with a schema validator.
 * :mod:`repro.obs.log` — stdlib logging under the ``repro`` hierarchy,

@@ -1,20 +1,22 @@
-"""Event tracing: a sampling :class:`~repro.cache.llc.LLCObserver`.
+"""Event tracing: a sampling observer of one replay's record.
 
-The observer counts every hit/fill/evict per stream and per set with
-bare list increments (cheap enough to leave on for ordinary runs), and
-additionally records every ``sample_period``-th event into a fixed-size
-ring buffer so a manifest can show *what* the cache was doing around
-any point of the replay without retaining the whole event stream.
+The observer reads the hit/fill/evict events of every
+``sample_period``-th access off the replay record, counts them per
+stream and per set, and keeps the most recent ones in a fixed-size ring
+buffer, so a manifest can show *what* the cache was doing around any
+point of the replay without retaining the whole event stream.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.llc import LLCObserver
-from repro.core.base import AccessContext
+import numpy as np
+
+from repro.cache.llc import BYPASS, MISS
 from repro.errors import ObservabilityError
 from repro.streams import Stream
+from repro.trace.record import Trace
 
 #: Event kinds recorded by the observer.
 HIT, FILL, EVICT = 0, 1, 2
@@ -57,25 +59,22 @@ class EventRing:
         ]
 
 
-class SamplingObserver(LLCObserver):
+class SamplingObserver:
     """Samples hit/fill/evict events per stream and per set.
 
-    The observer declares its ``sample_period`` as the engine-level
-    ``engine_sample_period`` (see :class:`~repro.cache.llc.LLCObserver`),
-    so the LLC dispatches only the events of every ``sample_period``-th
-    access — the hot path pays one countdown decrement per access, no
-    Python call — and this observer records every event it is handed:
-    per-stream and per-set counters plus a detailed event ring.  A
-    sampled miss keeps its fill and evict paired in the ring.  Multiply
-    sampled counts by ``sample_period`` for unbiased estimates
-    (:meth:`summary` pre-computes the total); with ``sample_period=1``
-    every access is forwarded and the per-stream counts match the
-    engine's exact :class:`~repro.cache.stats.LLCStats` — the
-    cross-check the test suite pins.
+    :meth:`observe` visits accesses ``0, N, 2N, ...`` of a replay
+    (``N = sample_period``) and records each one's events: a hit, a
+    fill, or — once the access's set has had ``ways`` fills, since ways
+    fill in order and are never invalidated — an evict then a fill; a
+    bypass has none.  It records per-stream and per-set counters plus a
+    detailed event ring.  Multiply sampled counts by ``sample_period``
+    for unbiased estimates (:meth:`summary` pre-computes the total);
+    with ``sample_period=1`` every access is visited and the per-stream
+    counts match the engine's exact :class:`~repro.cache.stats.LLCStats`
+    — the cross-check the test suite pins.
     """
 
-    __slots__ = ("sample_period", "engine_sample_period", "ring",
-                 "_streams", "_sets")
+    __slots__ = ("sample_period", "ring", "_streams", "_sets")
 
     def __init__(
         self, sample_period: int = 64, ring_capacity: int = 1024
@@ -85,8 +84,6 @@ class SamplingObserver(LLCObserver):
                 f"sample period must be >= 1: {sample_period}"
             )
         self.sample_period = sample_period
-        #: Engine decimation contract (read by the LLC constructor).
-        self.engine_sample_period = sample_period
         self.ring = EventRing(ring_capacity)
         num_streams = len(Stream)
         #: per-kind, per-stream sampled counts: _streams[kind][stream].
@@ -94,24 +91,35 @@ class SamplingObserver(LLCObserver):
         #: set_index -> [sampled hits, fills, evicts]
         self._sets: Dict[int, List[int]] = {}
 
-    # -- LLCObserver hooks (called only for sampled accesses) -------------
+    def observe(self, trace: Trace, replay, geometry) -> None:
+        """Record the events of the sampled accesses of one replay."""
+        outcomes = replay.outcomes
+        sampled = np.arange(0, len(outcomes), self.sample_period)
+        sampled = sampled[outcomes[sampled] != BYPASS]
+        fills = outcomes[sampled] == MISS
+        sets = _set_indices(trace.addresses[sampled], geometry)
+        evicts = fills & (sampled > _fill_up_points(trace, outcomes, geometry)[sets])
+        for index, stream, set_index, fill, evict in zip(
+            sampled.tolist(),
+            trace.streams[sampled].tolist(),
+            sets.tolist(),
+            fills.tolist(),
+            evicts.tolist(),
+        ):
+            if not fill:
+                self._record(HIT, index, stream, set_index)
+                continue
+            if evict:
+                self._record(EVICT, index, stream, set_index)
+            self._record(FILL, index, stream, set_index)
 
-    def on_hit(self, ctx: AccessContext, slot: int, was_rt: bool) -> None:
-        self._record(HIT, ctx)
-
-    def on_fill(self, ctx: AccessContext, slot: int) -> None:
-        self._record(FILL, ctx)
-
-    def on_evict(self, ctx: AccessContext, slot: int) -> None:
-        self._record(EVICT, ctx)
-
-    def _record(self, kind: int, ctx: AccessContext) -> None:
-        self._streams[kind][ctx.stream] += 1
-        set_counts = self._sets.get(ctx.set_index)
+    def _record(self, kind: int, index: int, stream: int, set_index: int) -> None:
+        self._streams[kind][stream] += 1
+        set_counts = self._sets.get(set_index)
         if set_counts is None:
-            set_counts = self._sets[ctx.set_index] = [0, 0, 0]
+            set_counts = self._sets[set_index] = [0, 0, 0]
         set_counts[kind] += 1
-        self.ring.push((ctx.index, kind, ctx.stream, ctx.set_index))
+        self.ring.push((index, kind, stream, set_index))
 
     # -- results ----------------------------------------------------------
 
@@ -182,3 +190,27 @@ class SamplingObserver(LLCObserver):
                 ],
             },
         }
+
+
+def _set_indices(addresses: np.ndarray, geometry) -> np.ndarray:
+    # The narrowest dtype that holds a set index: a stable argsort of
+    # 8- or 16-bit keys is a linear-time radix sort.
+    blocks = addresses >> np.uint64(geometry.block_bits)
+    sets = blocks & np.uint64(geometry.num_sets - 1)
+    return sets.astype(np.min_scalar_type(geometry.num_sets - 1))
+
+
+def _fill_up_points(trace: Trace, outcomes: np.ndarray, geometry) -> np.ndarray:
+    """Per set, the index of the fill that took its last free way.
+
+    Every later fill of the set evicts.  Sets that never fill up get
+    ``len(outcomes)``, past every access.
+    """
+    fills = np.flatnonzero(outcomes == MISS)
+    sets = _set_indices(trace.addresses[fills], geometry)
+    by_set = fills[np.argsort(sets, kind="stable")]
+    counts = np.bincount(sets, minlength=geometry.num_sets)
+    full = counts >= geometry.ways
+    points = np.full(geometry.num_sets, len(outcomes), dtype=np.int64)
+    points[full] = by_set[(np.cumsum(counts) - counts)[full] + geometry.ways - 1]
+    return points

@@ -189,7 +189,9 @@ def execute_job(
             with spans.span("trace"):
                 trace = frame_trace(spec, config)
             with spans.span("characterize"):
-                value = characterize_frame(trace, job.policy, config.llc())
+                value = characterize_frame(
+                    trace, job.policy, config.llc(), engine=config.engine
+                )
     seconds = time.perf_counter() - started
     return JobOutcome(
         job, value, seconds, spans.flat(), spans.events_payload()

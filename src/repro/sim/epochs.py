@@ -13,15 +13,24 @@ streams under Belady's optimal policy.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Tuple
+from typing import Dict, Tuple
 
-from repro.cache.llc import LLCObserver
-from repro.core.base import AccessContext
-from repro.streams import StreamClass
+import numpy as np
+
+from repro.cache.llc import BYPASS, HIT, MISS
+from repro.streams import STREAM_CLASS_TABLE, StreamClass
+from repro.trace.record import Trace
 
 #: Epochs 0, 1, 2 are tracked individually; 3 stands for E>=3.
 EPOCH_CAP = 3
-_UNTRACKED = -1
+
+_CLASS_OF_STREAM = np.array(STREAM_CLASS_TABLE, dtype=np.int8)
+_Z, _TEX, _RT = int(StreamClass.Z), int(StreamClass.TEX), int(StreamClass.RT)
+#: Event codes of the epoch walk: a fill is its stream class (0-3), a
+#: hit ``_HIT_EVENT`` plus its class, and a texture hit that consumed a
+#: render target ``_CONSUME_EVENT``.
+_HIT_EVENT = 4
+_CONSUME_EVENT = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,92 +76,113 @@ class EpochStats:
         return tuple(h / total for h in self.hits_from)
 
 
-class EpochTracker(LLCObserver):
-    """LLC observer that measures epoch populations for one stream class.
+def rt_consumptions(trace: Trace, outcomes: np.ndarray, block_bits: int) -> np.ndarray:
+    """Mask of the texture hits that consumed a render target.
 
-    For ``StreamClass.TEX`` a life additionally begins when a
-    render-target block is consumed by the samplers (the engine reports
-    the pre-consumption RT bit via ``was_rt``), mirroring the paper's
-    definition of a "texture block".
+    The LLC's RT bit, as a hit sees it, is the value left by the block's
+    last fill, TEX hit or RT hit: a fill sets it to whether the filling
+    stream is a render target, a TEX hit clears it and an RT hit sets
+    it.  So a TEX hit consumes a render target exactly when the previous
+    of those accesses to its block was of class RT.  The mask's total is
+    ``LLCStats.rt_consumed``.
+    """
+    classes = _CLASS_OF_STREAM[trace.streams]
+    hits = outcomes == HIT
+    setters = np.flatnonzero(
+        (outcomes == MISS) | (hits & ((classes == _TEX) | (classes == _RT)))
+    )
+    blocks = trace.addresses[setters] >> np.uint64(block_bits)
+    # Grouped by block, in access order: a TEX hit's predecessor is its
+    # own block's previous setter (there is one, the fill that brought
+    # the block in).
+    order = setters[np.argsort(blocks, kind="stable")]
+    before, after = order[:-1], order[1:]
+    consumed = np.zeros(len(outcomes), dtype=bool)
+    consumed[after] = (
+        (classes[before] == _RT) & hits[after] & (classes[after] == _TEX)
+    )
+    return consumed
+
+
+class EpochTracker:
+    """Observer of the texture and Z epoch populations of one replay.
+
+    :meth:`observe` walks the replay record once with a per-block state
+    machine: a fill (``MISS``) by a tracked class starts a life in E0, a
+    hit by the life's class advances it, a hit by any other class
+    converts it (ends it), and a ``BYPASS`` touches no block.  A texture
+    life also begins when a texture hit consumes a render target
+    (:func:`rt_consumptions`), mirroring the paper's definition of a
+    "texture block".  Lives whose block is still resident when the
+    replay ends are the survivors (``EpochStats.still_alive``).
     """
 
-    def __init__(self, sclass: StreamClass, num_slots: int) -> None:
-        self.sclass = int(sclass)
-        self._epoch_of: List[int] = [_UNTRACKED] * num_slots
-        self.entered = [0] * (EPOCH_CAP + 1)
-        self.hits_from = [0] * (EPOCH_CAP + 1)
-        self.conversions = 0
-        self.untracked_hits = 0
-        self._is_tex = self.sclass == int(StreamClass.TEX)
+    def __init__(self) -> None:
+        #: Final statistics of each tracked class (TEX and Z).
+        self.stats: Dict[StreamClass, EpochStats] = {}
+        #: Hits of each tracked class on a block with no life of that
+        #: class (e.g. a texture read of a Z block).
+        self.untracked_hits: Dict[StreamClass, int] = {}
 
-    # -- LLCObserver hooks -------------------------------------------------
-
-    def on_fill(self, ctx: AccessContext, slot: int) -> None:
-        if ctx.sclass == self.sclass:
-            self._epoch_of[slot] = 0
-            self.entered[0] += 1
-        else:
-            self._epoch_of[slot] = _UNTRACKED
-
-    def on_hit(self, ctx: AccessContext, slot: int, was_rt: bool) -> None:
-        epoch = self._epoch_of[slot]
-        if ctx.sclass == self.sclass:
-            if self._is_tex and was_rt:
-                # Render-target consumption: a texture life begins at E0.
-                self._end_life(slot)
-                self._epoch_of[slot] = 0
-                self.entered[0] += 1
-                return
-            if epoch == _UNTRACKED:
-                self.untracked_hits += 1
-                return
-            self.hits_from[min(epoch, EPOCH_CAP)] += 1
-            if epoch < EPOCH_CAP:
-                self._epoch_of[slot] = epoch + 1
-                self.entered[epoch + 1] += 1
-            return
-        # A different stream touched the block: the tracked life ends.
-        if epoch != _UNTRACKED:
-            self.conversions += 1
-            self._epoch_of[slot] = _UNTRACKED
-
-    def on_evict(self, ctx: AccessContext, slot: int) -> None:
-        self._epoch_of[slot] = _UNTRACKED
-
-    # -- finalization --------------------------------------------------------
-
-    def _end_life(self, slot: int) -> None:
-        if self._epoch_of[slot] != _UNTRACKED:
-            self.conversions += 1
-            self._epoch_of[slot] = _UNTRACKED
-
-    def finalize(self) -> EpochStats:
-        still_alive = [0] * (EPOCH_CAP + 1)
-        for epoch in self._epoch_of:
-            if epoch != _UNTRACKED:
-                still_alive[epoch] += 1
-        return EpochStats(
-            entered=tuple(self.entered),
-            hits_from=tuple(self.hits_from),
-            still_alive=tuple(still_alive),
-            conversions=self.conversions,
+    def observe(self, trace: Trace, replay, geometry) -> None:
+        outcomes = replay.outcomes
+        live = np.flatnonzero(outcomes != BYPASS)
+        events = _CLASS_OF_STREAM[trace.streams[live]]
+        events += _HIT_EVENT * (outcomes[live] == HIT)
+        events[rt_consumptions(trace, outcomes, geometry.block_bits)[live]] = (
+            _CONSUME_EVENT
         )
+        blocks = trace.addresses[live] >> np.uint64(geometry.block_bits)
 
+        # Per-class counters are indexed by class: Z is 0 and TEX is 1.
+        tracked = (_Z, _TEX)
+        entered = [[0] * (EPOCH_CAP + 1) for _ in tracked]
+        hits_from = [[0] * (EPOCH_CAP + 1) for _ in tracked]
+        conversions = [0, 0]
+        untracked = [0, 0]
+        #: block -> (class, epoch) of its life, when one is tracked.
+        lives: Dict[int, Tuple[int, int]] = {}
+        for block, event in zip(blocks.tolist(), events.tolist()):
+            if event < _HIT_EVENT:
+                if event in tracked:
+                    lives[block] = (event, 0)
+                    entered[event][0] += 1
+                else:
+                    lives.pop(block, None)
+                continue
+            life = lives.get(block)
+            if event == _CONSUME_EVENT:
+                if life is not None:
+                    conversions[life[0]] += 1
+                lives[block] = (_TEX, 0)
+                entered[_TEX][0] += 1
+                continue
+            sclass = event - _HIT_EVENT
+            if life is not None and life[0] == sclass:
+                epoch = life[1]
+                hits_from[sclass][epoch] += 1
+                if epoch < EPOCH_CAP:
+                    lives[block] = (sclass, epoch + 1)
+                    entered[sclass][epoch + 1] += 1
+                continue
+            if sclass in tracked:
+                untracked[sclass] += 1
+            if life is not None:
+                conversions[life[0]] += 1
+                del lives[block]
 
-class MultiEpochTracker(LLCObserver):
-    """Fans LLC events out to several epoch trackers in one pass."""
-
-    def __init__(self, trackers: List[EpochTracker]) -> None:
-        self.trackers = trackers
-
-    def on_fill(self, ctx: AccessContext, slot: int) -> None:
-        for tracker in self.trackers:
-            tracker.on_fill(ctx, slot)
-
-    def on_hit(self, ctx: AccessContext, slot: int, was_rt: bool) -> None:
-        for tracker in self.trackers:
-            tracker.on_hit(ctx, slot, was_rt)
-
-    def on_evict(self, ctx: AccessContext, slot: int) -> None:
-        for tracker in self.trackers:
-            tracker.on_evict(ctx, slot)
+        still_alive = [[0] * (EPOCH_CAP + 1) for _ in tracked]
+        resident = replay.resident_addresses >> np.uint64(geometry.block_bits)
+        for block in resident.tolist():
+            life = lives.get(block)
+            if life is not None:
+                still_alive[life[0]][life[1]] += 1
+        for sclass in tracked:
+            key = StreamClass(sclass)
+            self.stats[key] = EpochStats(
+                entered=tuple(entered[sclass]),
+                hits_from=tuple(hits_from[sclass]),
+                still_alive=tuple(still_alive[sclass]),
+                conversions=conversions[sclass],
+            )
+            self.untracked_hits[key] = untracked[sclass]

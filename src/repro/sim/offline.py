@@ -15,7 +15,7 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.llc import LLC, LLCObserver
+from repro.cache.llc import LLC
 from repro.config import LLCConfig
 from repro.core.base import NEVER
 from repro.core.registry import PolicyLike, resolve_policy
@@ -33,18 +33,13 @@ def build_llc(
     policy: PolicyLike,
     llc_config: Optional[LLCConfig] = None,
     uncached_streams: Optional[Iterable[Stream]] = None,
-    observer: Optional[LLCObserver] = None,
     writeback_sink=None,
 ) -> LLC:
     """Construct an LLC ready to digest a trace."""
     instance, uncached = resolve_policy(policy, uncached_streams)
     geometry = CacheGeometry.from_config(llc_config or LLCConfig())
     return LLC(
-        geometry,
-        instance,
-        uncached_streams=uncached,
-        observer=observer,
-        writeback_sink=writeback_sink,
+        geometry, instance, uncached_streams=uncached, writeback_sink=writeback_sink
     )
 
 
@@ -53,7 +48,7 @@ def simulate_trace(
     policy: PolicyLike,
     llc_config: Optional[LLCConfig] = None,
     uncached_streams: Optional[Iterable[Stream]] = None,
-    observer: Optional[LLCObserver] = None,
+    observer=None,
     spans: Optional[SpanRecorder] = None,
     engine: str = "auto",
 ) -> SimResult:
@@ -65,25 +60,32 @@ def simulate_trace(
     information.  ``spans``, if given, records the setup/replay phase
     breakdown into the caller's :class:`~repro.obs.spans.SpanRecorder`.
 
+    ``observer``, if given, is called once after the replay as
+    ``observer.observe(trace, record, geometry)`` with the run's
+    :class:`~repro.sim.results.Replay` record (see
+    :class:`~repro.sim.epochs.EpochTracker` and
+    :class:`~repro.obs.events.SamplingObserver`).
+
     ``engine`` selects the replay implementation: ``"reference"`` (this
     module's hook-driven engine), ``"fast"`` (the specialized kernels
-    of :mod:`repro.fastsim`; raises when the policy has no kernel or an
-    observer is attached), or ``"auto"`` (the default — fast whenever
-    applicable, identical results either way; see
-    ``docs/performance.md``).
+    of :mod:`repro.fastsim`; raises when the policy has no kernel), or
+    ``"auto"`` (the default — fast whenever applicable, identical
+    results either way; see ``docs/performance.md``).
     """
     # Imported lazily: repro.fastsim pulls in repro.sim submodules, so a
     # module-level import would cycle through the package __init__.
     from repro.fastsim.dispatch import ENGINE_FAST, choose_engine
     from repro.fastsim.engine import fast_simulate_trace
 
-    if choose_engine(engine, policy, observer) == ENGINE_FAST:
+    if choose_engine(engine, policy) == ENGINE_FAST:
         return fast_simulate_trace(
-            trace, policy, llc_config, uncached_streams, spans
+            trace, policy, llc_config, uncached_streams, spans, observer
         )
-    return _reference(
-        trace, policy, llc_config, uncached_streams, observer, spans
-    ).result
+    record = _reference(trace, policy, llc_config, uncached_streams, spans)
+    if observer is not None:
+        geometry = CacheGeometry.from_config(llc_config or LLCConfig())
+        observer.observe(trace, record, geometry)
+    return record.result
 
 
 def replay(
@@ -115,7 +117,6 @@ def _reference(
     policy: PolicyLike,
     llc_config: Optional[LLCConfig] = None,
     uncached_streams: Optional[Iterable[Stream]] = None,
-    observer: Optional[LLCObserver] = None,
     spans: Optional[SpanRecorder] = None,
 ) -> Replay:
     """The reference engine: one hook-driven ``LLC.access`` per access."""
@@ -124,9 +125,7 @@ def _reference(
     # Evicting access index -> dirty victim address, in eviction order
     # (an access evicts at most one block).
     victims: Dict[int, int] = {}
-    llc = build_llc(
-        policy, llc_config, uncached_streams, observer, victims.__setitem__
-    )
+    llc = build_llc(policy, llc_config, uncached_streams, victims.__setitem__)
     # Setup covers the array conversions and the next-use precompute —
     # separate from replay so Belady runs don't report inflated replay
     # time (the precompute alone can dominate).
@@ -173,9 +172,13 @@ def _reference(
             )
             for sclass in StreamClass
         }
+    resident = np.array(
+        sorted(block for lookup in llc._lookup for block in lookup), dtype=np.uint64
+    )
     return Replay(
         result=result,
         outcomes=np.frombuffer(outcomes, dtype=np.int8),
         victim_indices=np.array(list(victims), dtype=np.int64),
         victim_addresses=np.array(list(victims.values()), dtype=np.uint64),
+        resident_addresses=resident << np.uint64(llc.geometry.block_bits),
     )

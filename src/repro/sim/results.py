@@ -74,8 +74,9 @@ class Replay:
     """One replay's :class:`SimResult` plus what the LLC did per access.
 
     The record every consumer of a replay reads instead of running its
-    own LLC: the GPU timing models walk it, and the miss classifier
-    buckets it.  Both engines produce identical records.
+    own LLC: the GPU timing models walk it, the miss classifier buckets
+    it, and observers (the epoch tracker, the sampled event log) derive
+    their outputs from it.  Both engines produce identical records.
     """
 
     result: SimResult
@@ -87,6 +88,9 @@ class Replay:
     #: (``uint64``).  An access evicts at most one block.
     victim_indices: np.ndarray
     victim_addresses: np.ndarray
+    #: Sorted byte addresses (``uint64``) of the blocks still resident
+    #: when the replay ended.
+    resident_addresses: np.ndarray
 
     def victim_by_access(self) -> Dict[int, int]:
         """``{access index: its dirty victim's byte address}``."""

@@ -149,7 +149,7 @@ def run_job_in_worker(payload: Dict[str, object], out_path: str) -> None:
         result.update(
             policy=payload["policy"],
             llc_mb=payload["llc_mb"],
-            engine=choose_engine(str(payload["engine"]), sim_job.policy, None),
+            engine=choose_engine(str(payload["engine"]), sim_job.policy),
             accesses=sim_result.accesses,
             metrics=sim_result.stats.snapshot(),
         )

@@ -192,27 +192,31 @@ def test_engine_recorded_in_manifest(tiny_trace_path, tmp_path):
     for name in os.listdir(out):
         manifest = json.loads((out / name).read_text())
         by_policy[manifest["policy"]] = manifest
-    # Telemetry (--metrics-out) keeps the observer, so auto resolves to
-    # the reference engine for every policy; the field is still emitted.
-    assert by_policy["drrip"]["engine"] == "reference"
-    assert by_policy["gspc"]["engine"] == "reference"
+    # Observers read the replay record, so telemetry (--metrics-out)
+    # leaves auto on the kernels.
+    assert by_policy["drrip"]["engine"] == "fast"
+    assert by_policy["gspc"]["engine"] == "fast"
     for manifest in by_policy.values():
         assert manifest["events"]["sample_period"] >= 1
         assert manifest["phases"]["spans"]
 
 
 def test_engine_fast_manifest_records_fast(tiny_trace_path, tmp_path):
-    out = tmp_path / "m"
-    assert main(
-        ["--trace", tiny_trace_path, "--policies", "drrip",
-         "--engine", "fast", "--metrics-out", str(out)]
-    ) == 0
     import json
 
-    [name] = os.listdir(out)
-    manifest = json.loads((out / name).read_text())
-    assert manifest["engine"] == "fast"
-    assert manifest["events"] is None  # fast kernels have no observer
+    manifests = {}
+    for engine in ("fast", "reference"):
+        out = tmp_path / engine
+        assert main(
+            ["--trace", tiny_trace_path, "--policies", "drrip",
+             "--engine", engine, "--metrics-out", str(out)]
+        ) == 0
+        [name] = os.listdir(out)
+        manifests[engine] = json.loads((out / name).read_text())
+    assert manifests["fast"]["engine"] == "fast"
+    # The fast run's event summary is the reference run's.
+    assert manifests["fast"]["events"]["events"] > 0
+    assert manifests["fast"]["events"] == manifests["reference"]["events"]
 
 
 def test_trace_out_writes_valid_chrome_trace(tiny_trace_path, tmp_path):

@@ -16,6 +16,7 @@ from repro.fastsim import (
 )
 from repro.fastsim.kernels import kernel_for, kernel_source
 from repro.obs.events import SamplingObserver
+from repro.sim.epochs import EpochTracker
 from repro.sim.offline import simulate_trace
 from repro.streams import Stream
 from repro.trace import synth
@@ -56,11 +57,16 @@ def _fingerprint(result):
 @settings(max_examples=25, deadline=None)
 @given(entries=small_traces, policy=st.sampled_from(FAST_POLICIES))
 def test_fast_engine_matches_reference(entries, policy):
-    """Identical SimResult stats/extras on arbitrary small traces."""
+    """Identical SimResult stats/extras on arbitrary small traces, and
+    identical epoch statistics read off each engine's replay record."""
     trace = _trace_from(entries)
-    reference = simulate_trace(trace, policy, TINY, engine="reference")
-    fast = simulate_trace(trace, policy, TINY, engine="fast")
-    assert _fingerprint(fast) == _fingerprint(reference)
+    reference, fast = EpochTracker(), EpochTracker()
+    expected = simulate_trace(
+        trace, policy, TINY, observer=reference, engine="reference"
+    )
+    result = simulate_trace(trace, policy, TINY, observer=fast, engine="fast")
+    assert _fingerprint(result) == _fingerprint(expected)
+    assert fast.stats == reference.stats
 
 
 @pytest.mark.parametrize("policy", [name + "+ucd" for name in FAST_POLICIES])
@@ -145,9 +151,26 @@ def test_choose_engine_auto_falls_back_for_uncovered_policy():
     assert choose_engine("auto", "gspc") == "fast"
 
 
-def test_choose_engine_auto_falls_back_under_observer():
-    observer = SamplingObserver()
-    assert choose_engine("auto", "drrip", observer) == "reference"
+def test_choose_engine_auto_falls_back_under_observer(monkeypatch):
+    """An observed auto run replays on the kernels and the observer
+    reads their record."""
+    from repro.fastsim import engine
+
+    calls = []
+    original = engine.fast_simulate_trace
+
+    def spy(*args, **kwargs):
+        calls.append(args + tuple(kwargs.values()))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "fast_simulate_trace", spy)
+    observer = SamplingObserver(sample_period=1)
+    trace = synth.random_trace(400, 128, seed=4)
+    result = simulate_trace(trace, "drrip", TINY, observer=observer)
+    [call] = calls
+    assert any(arg is observer for arg in call)
+    stats = result.stats
+    assert observer.sampled_events == stats.hits + stats.fills + stats.evictions
 
 
 def test_choose_engine_reference_always_allowed():
@@ -185,8 +208,15 @@ def test_gspc_subclass_with_overridden_hooks_takes_reference_path():
 
 
 def test_choose_engine_fast_rejects_observer():
-    with pytest.raises(SimulationError, match="observer"):
-        choose_engine("fast", "drrip", SamplingObserver())
+    """--engine fast accepts an observer and reports what reference does."""
+    trace = synth.random_trace(600, 128, seed=6)
+    summaries = {}
+    for engine in ("reference", "fast"):
+        observer = SamplingObserver(sample_period=3)
+        simulate_trace(trace, "gspc", TINY, observer=observer, engine=engine)
+        summaries[engine] = observer.summary()
+    assert summaries["fast"] == summaries["reference"]
+    assert summaries["fast"]["events"] > 0
 
 
 def test_fast_simulate_trace_rejects_uncovered_policy():

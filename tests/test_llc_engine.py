@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.llc import BYPASS, HIT, LLC, MISS, LLCObserver
+from repro.cache.llc import BYPASS, HIT, LLC, MISS
 from repro.core.lru import LRUPolicy
 from repro.core.srrip import SRRIPPolicy
 from repro.streams import Stream
@@ -153,25 +153,31 @@ class TestBypass:
 
 class TestObserver:
     def test_observer_receives_events(self):
-        events = []
+        """Observers read the engine's events off its replay record."""
+        from helpers import make_trace
+        from repro.config import CacheParams, LLCConfig
+        from repro.obs.events import KIND_NAMES, SamplingObserver
+        from repro.sim.epochs import rt_consumptions
+        from repro.sim.offline import replay, simulate_trace
 
-        class Recorder(LLCObserver):
-            def on_fill(self, ctx, slot):
-                events.append(("fill", ctx.block, slot))
-
-            def on_hit(self, ctx, slot, was_rt):
-                events.append(("hit", ctx.block, was_rt))
-
-            def on_evict(self, ctx, slot):
-                events.append(("evict", slot))
-
-        llc = _llc(num_sets=1, ways=1, observer=Recorder())
-        llc.access(_addr(0), Stream.RT, is_write=True)
-        llc.access(_addr(0), Stream.TEXTURE)
-        llc.access(_addr(9), Stream.Z)
-        kinds = [event[0] for event in events]
-        assert kinds == ["fill", "hit", "evict", "fill"]
-        assert events[1][2] is True  # the texture hit saw the RT bit
+        trace = make_trace(
+            [(0, Stream.RT, True), (0, Stream.TEXTURE), (9, Stream.Z)]
+        )
+        config = LLCConfig(params=CacheParams(64, ways=1), banks=1)
+        observer = SamplingObserver(sample_period=1)
+        simulate_trace(
+            trace, "lru", config, observer=observer, engine="reference"
+        )
+        events = observer.ring.events()
+        assert [KIND_NAMES[kind] for _, kind, _, _ in events] == [
+            "fill", "hit", "evict", "fill",
+        ]
+        assert [index for index, _, _, _ in events] == [0, 1, 2, 2]
+        record = replay(trace, "lru", config, engine="reference")
+        block_bits = CacheGeometry.from_config(config).block_bits
+        # The texture hit saw the RT bit.
+        consumed = rt_consumptions(trace, record.outcomes, block_bits)
+        assert consumed.tolist() == [False, True, False]
 
 
 class TestPolicyIntegration:

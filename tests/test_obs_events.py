@@ -8,6 +8,8 @@ from repro.sim.offline import simulate_trace
 from repro.streams import Stream
 from repro.trace import synth
 
+from helpers import make_trace
+
 
 def test_ring_keeps_newest():
     ring = EventRing(4)
@@ -78,22 +80,15 @@ def test_summary_shape(small_llc_config):
     assert summary["sets_sampled"] >= len(summary["hot_sets"])
 
 
-def test_hot_sets_ranked_by_activity():
+def test_hot_sets_ranked_by_activity(small_llc_config):
     observer = SamplingObserver(sample_period=1)
-
-    class Ctx:
-        index = 0
-        stream = int(Stream.TEXTURE)
-        set_index = 0
-
-    ctx = Ctx()
-    for set_index, events in ((3, 5), (9, 2)):
-        ctx.set_index = set_index
-        for _ in range(events):
-            observer.on_hit(ctx, slot=0, was_rt=False)
+    # Set 3: one fill then five hits; set 9: one fill then one hit.
+    entries = [(3, Stream.TEXTURE)] * 6 + [(9, Stream.TEXTURE)] * 2
+    simulate_trace(make_trace(entries), "lru", small_llc_config, observer=observer)
     hot = observer.hot_sets(top=2)
     assert [entry["set"] for entry in hot] == [3, 9]
     assert hot[0]["hits"] == 5
+    assert hot[1] == {"set": 9, "hits": 1, "fills": 1, "evictions": 0}
 
 
 def test_full_reuse_has_no_evictions(small_llc_config):

@@ -1,9 +1,11 @@
 """Offline simulator tests."""
 
+import numpy as np
+
 from repro.config import CacheParams, KB, LLCConfig
 from repro.core.registry import policy_spec
 from repro.core.srrip import SRRIPPolicy
-from repro.sim.offline import build_llc, simulate_trace
+from repro.sim.offline import simulate_trace
 from repro.streams import Stream
 from repro.trace import synth
 
@@ -80,17 +82,32 @@ def test_trace_meta_propagates(small_llc_config):
 
 
 def test_build_llc_observer_attached(small_llc_config):
-    from repro.cache.llc import LLCObserver
+    """simulate_trace hands an observer its run's record once, after
+    the replay, whichever engine ran it."""
+    from repro.sim.offline import replay
 
-    class Probe(LLCObserver):
-        fills = 0
+    class Probe:
+        def __init__(self):
+            self.calls = []
 
-        def on_fill(self, ctx, slot):
-            Probe.fills += 1
+        def observe(self, trace, record, geometry):
+            self.calls.append((trace, record, geometry))
 
-    llc = build_llc("lru", small_llc_config, observer=Probe())
-    llc.access(0, Stream.Z)
-    assert Probe.fills == 1
+    trace = synth.random_trace(500, 256, seed=2)
+    expected = replay(trace, "lru", small_llc_config)
+    for engine in ("reference", "fast"):
+        probe = Probe()
+        result = simulate_trace(
+            trace, "lru", small_llc_config, observer=probe, engine=engine
+        )
+        [(seen, record, geometry)] = probe.calls
+        assert seen is trace
+        assert record.result is result
+        assert np.array_equal(record.outcomes, expected.outcomes)
+        assert np.array_equal(
+            record.resident_addresses, expected.resident_addresses
+        )
+        assert geometry.num_sets == small_llc_config.num_sets
 
 
 def test_tiny_llc_capacity_bound():

@@ -96,6 +96,9 @@ def test_replay_identical_across_engines(frame, policy):
     np.testing.assert_array_equal(
         reference.victim_addresses, fast.victim_addresses
     )
+    np.testing.assert_array_equal(
+        reference.resident_addresses, fast.resident_addresses
+    )
     assert reference.result.stats.snapshot() == fast.result.stats.snapshot()
 
 
@@ -128,6 +131,7 @@ def test_victims_keep_trace_positions_past_uncached_accesses(engine):
     assert record.outcomes.tolist() == [BYPASS, MISS, MISS, MISS]
     assert record.victim_indices.tolist() == [3]
     assert record.victim_addresses.tolist() == [0]
+    assert record.resident_addresses.tolist() == [sets * 64, 2 * sets * 64]
 
 
 def test_record_agrees_with_stats_under_fill_vetoes(frame):
