@@ -36,7 +36,7 @@ from repro.fastsim.dispatch import ENGINE_AUTO, ENGINES, choose_engine
 from repro.obs.manifest import sim_manifest, timing_manifest, write_manifest
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracing import TraceContext
-from repro.sim.offline import simulate_trace
+from repro.sim.offline import RecordKeeper, simulate_trace
 from repro.trace.io import load_trace, save_trace, trace_format
 from repro.trace.record import Trace
 from repro.trace.sources import SOURCE_SYNTHETIC, resolve_source, \
@@ -171,12 +171,16 @@ def _simulate(
 ):
     """Replay one policy with the telemetry the flags ask for.
 
-    Returns ``(SimResult, observer, spans, engine_used)``, where
-    ``engine_used`` is the resolved ``"reference"``/``"fast"``.
+    Returns ``(SimResult, observer, spans, engine_used, record)``, where
+    ``engine_used`` is the resolved ``"reference"``/``"fast"`` and
+    ``record`` is the replay record that ``--timing`` integrates
+    (``None`` without ``--timing``).
     """
     from repro.obs.events import SamplingObserver
 
     observer = SamplingObserver() if args.metrics_out else None
+    # --timing integrates this replay's record rather than replaying.
+    keeper = RecordKeeper(observer) if args.timing else None
     spans = SpanRecorder() if args.metrics_out or args.trace_out else None
     engine_used = choose_engine(args.engine, policy)
     root = contextlib.nullcontext()
@@ -189,10 +193,11 @@ def _simulate(
         root = spans.span("sim")
     with root:
         result = simulate_trace(
-            trace, policy, llc, observer=observer, spans=spans,
+            trace, policy, llc, observer=keeper or observer, spans=spans,
             engine=args.engine,
         )
-    return result, observer, spans, engine_used
+    record = keeper.record if keeper else None
+    return result, observer, spans, engine_used, record
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -297,8 +302,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             "Frame timing", ["Policy", "Frame ms", "FPS (full scale)", "Speedup"]
         )
         base_timing = None
-        for policy in args.policies:
-            timing = simulator.run(trace, policy, engine=args.engine)
+        for policy, (*_, record) in zip(args.policies, runs):
+            timing = simulator.run(trace, policy, record=record)
             if base_timing is None:
                 base_timing = timing
             timings[timing.policy] = timing
@@ -311,7 +316,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print()
         print(timing_table.render())
     if args.metrics_out:
-        for result, observer, spans, engine_used in runs:
+        for result, observer, spans, engine_used, _ in runs:
             manifest = sim_manifest(
                 result,
                 config=manifest_config,
@@ -331,7 +336,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.obs.traceexport import build_chrome_trace, write_trace_file
 
         events = [
-            event for _, _, spans, _ in runs for event in spans.events_payload()
+            event for _, _, spans, *_ in runs for event in spans.events_payload()
         ]
         chrome = build_chrome_trace(
             events,

@@ -190,8 +190,13 @@ class DRAMConfig:
     row_bytes: int = 8 * KB
 
     def __post_init__(self) -> None:
-        if self.channels <= 0 or self.banks_per_channel <= 0:
-            raise ConfigError("DRAM must have positive channel/bank counts")
+        # Channel, bank and row decode is bit slicing of the address.
+        for field in ("channels", "banks_per_channel", "row_bytes"):
+            value = getattr(self, field)
+            if not is_power_of_two(value):
+                raise ConfigError(
+                    f"DRAM {field} must be a positive power of two, got {value}"
+                )
         if min(self.tcas, self.trcd, self.trp) < 0:
             raise ConfigError("DRAM latencies must be non-negative")
 

@@ -90,10 +90,9 @@ def run(config: ExperimentConfig) -> List[Table]:
     for bits in (4, 6, 8):
         ratios = []
         for spec in frames:
-            trace = frame_trace(spec, config)
-            baseline = simulate_trace(trace, "drrip", llc)
+            baseline = frame_result(spec, "drrip", config)
             result = simulate_trace(
-                trace, GSPZTCPolicy(counter_bits=bits), llc
+                frame_trace(spec, config), GSPZTCPolicy(counter_bits=bits), llc
             )
             ratios.append(result.misses_normalized_to(baseline))
         counters.add_row(bits, mean(ratios))
@@ -108,10 +107,13 @@ def run(config: ExperimentConfig) -> List[Table]:
     ):
         ratios = []
         for spec in frames:
-            trace = frame_trace(spec, config)
-            baseline = simulate_trace(trace, "drrip", llc)
-            instance = policy if policy else _TexRRPV2GSPZTC()
-            result = simulate_trace(trace, instance, llc)
+            baseline = frame_result(spec, "drrip", config)
+            if policy:
+                result = frame_result(spec, policy, config)
+            else:
+                result = simulate_trace(
+                    frame_trace(spec, config), _TexRRPV2GSPZTC(), llc
+                )
             ratios.append(result.misses_normalized_to(baseline))
         tex_insert.add_row(label, mean(ratios))
 

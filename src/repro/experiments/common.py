@@ -5,7 +5,8 @@
 * Frame-trace caching — synthetic frames are deterministic, so they are
   generated once per (app, frame, scale) and memoised on disk.
 * Result caching — offline simulation results are memoised in-process so
-  experiments that share (frame, policy) runs do not recompute them.
+  experiments that share (frame, policy) runs do not recompute them;
+  the timing experiments also share whole replay records.
 * The experiment registry used by the CLI runner and the benchmarks.
 """
 
@@ -19,8 +20,8 @@ from repro.analysis.characterize import FrameCharacterization, characterize_fram
 from repro.analysis.tables import Table
 from repro.config import DEFAULT_SCALE, LLCConfig, SystemConfig, paper_baseline
 from repro.errors import ReproError
-from repro.sim.offline import simulate_trace
-from repro.sim.results import SimResult
+from repro.sim.offline import replay, simulate_trace
+from repro.sim.results import Replay, SimResult
 from repro.trace.io import load_trace, save_trace
 from repro.trace.record import Trace
 from repro.trace.sources import SOURCE_SYNTHETIC, resolve_source
@@ -118,6 +119,8 @@ def frame_spec_for(
 
 _SIM_CACHE: Dict[Tuple, SimResult] = {}
 _CHAR_CACHE: Dict[Tuple, FrameCharacterization] = {}
+#: Replay records, kept only for the callers of :func:`frame_replay`.
+_REPLAY_CACHE: Dict[Tuple, Replay] = {}
 
 
 def _cache_key(spec: FrameSpec, policy: str, config: ExperimentConfig) -> Tuple:
@@ -141,6 +144,23 @@ def frame_result(
             frame_trace(spec, config), policy, config.llc(), engine=config.engine
         )
     return _SIM_CACHE[key]
+
+
+def frame_replay(spec: FrameSpec, policy: str, config: ExperimentConfig) -> Replay:
+    """Replay record of one (frame, policy), memoised in-process.
+
+    For the callers that read whole records (the timing models), so
+    each (frame, policy, LLC) replays at most once per process.  A fill
+    also stores the record's result for :func:`frame_result`.
+    """
+    key = _cache_key(spec, policy, config)
+    if key not in _REPLAY_CACHE:
+        record = replay(
+            frame_trace(spec, config), policy, config.llc(), engine=config.engine
+        )
+        _REPLAY_CACHE[key] = record
+        _SIM_CACHE.setdefault(key, record.result)
+    return _REPLAY_CACHE[key]
 
 
 def frame_characterization(
@@ -180,6 +200,7 @@ def seed_frame_characterization(
 def clear_result_caches() -> None:
     _SIM_CACHE.clear()
     _CHAR_CACHE.clear()
+    _REPLAY_CACHE.clear()
 
 
 def app_average(values_by_frame: Dict[str, List[float]]) -> Dict[str, float]:

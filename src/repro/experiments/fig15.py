@@ -13,6 +13,7 @@ from repro.analysis.tables import Table, mean
 from repro.config import SystemConfig
 from repro.experiments.common import (
     ExperimentConfig,
+    frame_replay,
     frame_trace,
     group_frames_by_app,
     register,
@@ -31,7 +32,11 @@ def performance_table(
     policies: Sequence[str] = POLICIES,
     baseline: str = BASELINE,
 ) -> Table:
-    """Shared implementation for Figures 15-17."""
+    """Shared implementation for Figures 15-17.
+
+    ``system`` varies the DRAM or GPU around ``config``'s LLC, whose
+    replay records the figures share through :func:`frame_replay`.
+    """
     simulator = FrameTimingSimulator(system)
     table = Table(
         title, ["Application"] + [p.upper() for p in policies] + ["FPS(best)"]
@@ -43,9 +48,13 @@ def performance_table(
         fps_app: List[float] = []
         for spec in frames:
             trace = frame_trace(spec, config)
-            base = simulator.run(trace, baseline, engine=config.engine)
+            base = simulator.run(
+                trace, baseline, record=frame_replay(spec, baseline, config)
+            )
             timings: Dict[str, FrameTiming] = {
-                policy: simulator.run(trace, policy, engine=config.engine)
+                policy: simulator.run(
+                    trace, policy, record=frame_replay(spec, policy, config)
+                )
                 for policy in policies
             }
             for policy in policies:

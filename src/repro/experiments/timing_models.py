@@ -12,7 +12,12 @@ from __future__ import annotations
 from typing import List
 
 from repro.analysis.tables import Table, mean
-from repro.experiments.common import ExperimentConfig, frame_trace, register
+from repro.experiments.common import (
+    ExperimentConfig,
+    frame_replay,
+    frame_trace,
+    register,
+)
 from repro.gpu.detailed import DetailedGPUSimulator
 from repro.gpu.timing import FrameTimingSimulator
 
@@ -39,11 +44,13 @@ def run(config: ExperimentConfig) -> List[Table]:
     }
     for spec in frames:
         trace = frame_trace(spec, config)
-        base_w = windowed.run(trace, BASELINE, engine=config.engine)
-        base_d = detailed.run(trace, BASELINE, engine=config.engine)
+        record = frame_replay(spec, BASELINE, config)
+        base_w = windowed.run(trace, BASELINE, record=record)
+        base_d = detailed.run(trace, BASELINE, record=record)
         for policy in POLICIES:
-            timing_w = windowed.run(trace, policy, engine=config.engine)
-            timing_d = detailed.run(trace, policy, engine=config.engine)
+            record = frame_replay(spec, policy, config)
+            timing_w = windowed.run(trace, policy, record=record)
+            timing_d = detailed.run(trace, policy, record=record)
             bucket = per_policy[policy]
             bucket["w"].append(timing_w.speedup_over(base_w))
             bucket["d"].append(timing_d.speedup_over(base_d))

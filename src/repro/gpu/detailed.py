@@ -2,7 +2,8 @@
 
 The windowed model (:mod:`repro.gpu.timing`) integrates throughput
 bounds; this model walks one LLC replay's record (per-access outcome
-plus dirty victims, :func:`repro.sim.offline.replay`) through explicit
+plus dirty victims, :func:`repro.sim.offline.replay`, or a record the
+caller already holds) through explicit
 queueing state — per-thread-context availability, a bounded pool of
 outstanding misses (MSHRs), per-bank DRAM service with open-row
 tracking, and per-channel data-bus occupancy — the machinery a detailed
@@ -30,7 +31,8 @@ from typing import List, Optional, Tuple
 from repro.cache.llc import HIT, MISS
 from repro.config import SystemConfig
 from repro.gpu.shader import WORK_FLOPS_PER_ACCESS
-from repro.sim.offline import PolicyLike, replay
+from repro.sim.offline import PolicyLike, check_record, replay
+from repro.sim.results import Replay
 from repro.trace.record import Trace
 from repro.utils.bitops import ilog2
 
@@ -77,15 +79,23 @@ class DetailedGPUSimulator:
         self.system = system
 
     def run(
-        self, trace: Trace, policy: PolicyLike, engine: str = "auto"
+        self,
+        trace: Trace,
+        policy: PolicyLike,
+        engine: str = "auto",
+        record: Optional[Replay] = None,
     ) -> DetailedTiming:
-        """Model one frame under ``policy`` from one LLC replay on
-        ``engine`` (resolved as by
-        :func:`~repro.sim.offline.simulate_trace`)."""
+        """Model one frame under ``policy`` from ``record``, ``trace``'s
+        replay under ``policy`` on this system's LLC when the caller
+        holds one, or else from one LLC replay on ``engine`` (resolved
+        as by :func:`~repro.sim.offline.simulate_trace`)."""
         system = self.system
         gpu, dram = system.gpu, system.dram
-        replayed = replay(trace, policy, system.llc, engine=engine)
-        stats = replayed.result.stats
+        if record is None:
+            record = replay(trace, policy, system.llc, engine=engine)
+        else:
+            check_record(record, trace, policy)
+        stats = record.result.stats
 
         flops_per_ns = gpu.peak_tflops * 1e3 * 0.55
         contexts = gpu.thread_contexts
@@ -133,8 +143,8 @@ class DetailedGPUSimulator:
         addresses = trace.addresses.tolist()
         streams = trace.streams.tolist()
         writes = trace.writes.tolist()
-        outcomes = replayed.outcomes.tolist()
-        victims = replayed.victim_by_access()
+        outcomes = record.outcomes.tolist()
+        victims = record.victim_by_access()
 
         finish_time = 0.0
         mshr_stalls = 0
@@ -194,7 +204,7 @@ class DetailedGPUSimulator:
 
         total_memory_ops = max(1, stats.misses + stats.bypasses)
         return DetailedTiming(
-            policy=replayed.result.policy,
+            policy=record.result.policy,
             frame_ns=finish_time,
             accesses=len(trace),
             misses=stats.misses,

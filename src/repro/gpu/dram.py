@@ -6,11 +6,19 @@ tRP + tRCD + tCAS), and bank-level parallelism that overlaps row
 preparation with data transfer.  Requests are accumulated per *window*
 (the frame-time simulator integrates window by window); the model keeps
 open-row state across windows.
+
+:class:`DRAMTimingModel` accounts one request at a time;
+:func:`account_windows` accounts a whole request stream in one NumPy
+pass with the same arithmetic, and the per-request model is the
+reference it is tested against.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List
+
+import numpy as np
 
 from repro.config import DRAMConfig
 from repro.utils.bitops import ilog2
@@ -24,7 +32,6 @@ class DRAMTimingModel:
         self.channel_bits = ilog2(config.channels)
         # Channel interleaving on block address, banks on the next bits.
         self._bank_mask = config.banks_per_channel - 1
-        ilog2(config.banks_per_channel)
         self._row_shift = ilog2(config.row_bytes)
         #: Open row per (channel, bank); -1 = closed.
         self._open_row: List[List[int]] = [
@@ -89,6 +96,75 @@ class DRAMTimingModel:
 
     def average_latency_ns(self) -> float:
         """Typical single-request latency given observed row locality."""
-        config = self.config
-        hit = self.row_hit_rate
-        return hit * config.row_hit_ns() + (1.0 - hit) * config.row_miss_ns()
+        return average_latency_ns(self.config, self.row_hit_rate)
+
+
+def average_latency_ns(config: DRAMConfig, row_hit_rate: float) -> float:
+    """Typical single-request latency at a given row-hit rate."""
+    hit = row_hit_rate
+    return hit * config.row_hit_ns() + (1.0 - hit) * config.row_miss_ns()
+
+
+@dataclasses.dataclass(frozen=True)
+class DRAMWindows:
+    """Per-window accounting of one request stream."""
+
+    #: Service time of each window, as ``drain_window_ns`` returns it.
+    service_ns: np.ndarray
+    #: Requests and row hits in each window.
+    requests: np.ndarray
+    row_hits: np.ndarray
+
+    def row_hit_rates(self) -> np.ndarray:
+        """The lifetime :attr:`DRAMTimingModel.row_hit_rate` at each
+        window's end (0.0 before the first request)."""
+        requests = np.maximum(np.cumsum(self.requests), 1)
+        return np.cumsum(self.row_hits) / requests
+
+
+def account_windows(
+    config: DRAMConfig, addresses: np.ndarray, windows: np.ndarray, count: int
+) -> DRAMWindows:
+    """:meth:`DRAMTimingModel.request` over a whole request stream, with
+    :meth:`~DRAMTimingModel.drain_window_ns` at the end of each window.
+
+    ``addresses`` are the requests' byte addresses in issue order and
+    ``windows`` each request's window (non-decreasing, below ``count``).
+    Rows stay open across windows, as in the per-request model.  Every
+    DDR timing is an integer, so the per-channel cycle sums are exact
+    in any order and equal the per-request model's.
+    """
+    addresses = np.asarray(addresses, dtype=np.uint64)
+    windows = np.asarray(windows, dtype=np.intp)
+    blocks = addresses >> np.uint64(6)
+    channels = (blocks & np.uint64(config.channels - 1)).astype(np.intp)
+    banks = (blocks >> np.uint64(ilog2(config.channels))) & np.uint64(
+        config.banks_per_channel - 1
+    )
+    rows = addresses >> np.uint64(ilog2(config.row_bytes))
+    # A request hits its row exactly when the previous request to its
+    # (channel, bank) opened the same row.  A stable sort by bank keeps
+    # each bank's requests in issue order, across window boundaries.
+    slots = channels * config.banks_per_channel + banks.astype(np.intp)
+    order = np.argsort(slots, kind="stable")
+    by_slot, by_row = slots[order], rows[order]
+    row_hit = np.zeros(len(addresses), dtype=bool)
+    row_hit[order[1:]] = (by_slot[1:] == by_slot[:-1]) & (by_row[1:] == by_row[:-1])
+
+    cells = windows * config.channels + channels
+    size = count * config.channels
+    data = np.bincount(cells, minlength=size) * config.transfer_cycles
+    prep = np.bincount(
+        cells,
+        weights=np.where(
+            row_hit, config.tcas, config.trp + config.trcd + config.tcas
+        ),
+        minlength=size,
+    )
+    parallelism = max(1.0, config.banks_per_channel / 2)
+    busy = np.maximum(data, prep / parallelism).reshape(count, config.channels)
+    return DRAMWindows(
+        service_ns=busy.max(axis=1, initial=0.0) * config.cycle_ns,
+        requests=np.bincount(windows, minlength=count),
+        row_hits=np.bincount(windows[row_hit], minlength=count),
+    )

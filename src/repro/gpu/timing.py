@@ -1,8 +1,9 @@
 """Frame-time simulation: LLC trace -> frames per second.
 
 The simulator replays a frame's LLC access trace once through the LLC
-(any replacement policy, on either engine — :func:`repro.sim.offline.replay`)
-and then integrates time window by window over the replay's record.
+(any replacement policy, on either engine — :func:`repro.sim.offline.replay`),
+or takes a replay record the caller already holds, and then integrates
+time window by window over the record.
 Within a window, shading/fixed-function compute, LLC bank occupancy and
 DRAM service largely overlap — a GPU is a throughput machine — so the
 window's duration is their maximum plus the latency that the thread
@@ -20,13 +21,14 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from repro.cache.llc import BYPASS, HIT, MISS
+from repro.cache.llc import HIT, MISS
 from repro.config import SystemConfig
-from repro.gpu.dram import DRAMTimingModel
+from repro.gpu.dram import account_windows, average_latency_ns
 from repro.gpu.llc_timing import LLCTimingModel
 from repro.gpu.shader import ShaderModel
 from repro.obs.spans import SpanRecorder
-from repro.sim.offline import PolicyLike, replay
+from repro.sim.offline import PolicyLike, check_record, replay
+from repro.sim.results import Replay
 from repro.streams import Stream
 from repro.trace.record import Trace
 
@@ -109,19 +111,24 @@ class FrameTimingSimulator:
         policy: PolicyLike,
         spans: Optional[SpanRecorder] = None,
         engine: str = "auto",
+        record: Optional[Replay] = None,
     ) -> FrameTiming:
         """Model one frame under ``policy``.
 
-        One LLC replay on ``engine`` (resolved as by
+        ``record`` is ``trace``'s replay under ``policy`` on this
+        system's LLC, when the caller holds one; otherwise one LLC
+        replay on ``engine`` (resolved as by
         :func:`~repro.sim.offline.simulate_trace`) records its ``setup``
-        and ``replay`` spans; integrating the windows over its record
+        and ``replay`` spans.  Integrating the windows over the record
         adds a ``timing`` span.
         """
         system = self.system
         if spans is None:
             spans = SpanRecorder()
-        replayed = replay(trace, policy, system.llc, spans, engine)
-        dram = DRAMTimingModel(system.dram)
+        if record is None:
+            record = replay(trace, policy, system.llc, spans, engine)
+        else:
+            check_record(record, trace, policy)
         shader = ShaderModel(system.gpu)
         llc_timing = LLCTimingModel(system.llc, system.gpu)
 
@@ -132,34 +139,46 @@ class FrameTimingSimulator:
         exposed_total = 0.0
         timing_started = time.perf_counter()
         with spans.span("timing"):
-            outcomes = replayed.outcomes
-            addresses = trace.addresses.tolist()
-            # A miss reads its block; a bypass passes the access through.
-            request_writes = (trace.writes & (outcomes == BYPASS)).tolist()
-            victims = replayed.victim_by_access()
-            for start in range(0, len(trace), WINDOW_ACCESSES):
-                stop = start + WINDOW_ACCESSES
-                window = outcomes[start:stop]
-                # DRAM sees only misses, bypasses and dirty victims.
-                for index in (np.flatnonzero(window != HIT) + start).tolist():
-                    victim = victims.get(index)
-                    if victim is not None:
-                        # A dirty victim writes back at its true address,
-                        # before the miss that evicted it fetches.
-                        dram.request(victim, True)
-                    dram.request(addresses[index], request_writes[index])
-                counts = np.bincount(
-                    trace.streams[start:stop], minlength=len(Stream)
-                )
-                dram_ns = dram.drain_window_ns()
-                compute_ns = shader.compute_ns(dict(enumerate(counts.tolist())))
-                llc_ns = llc_timing.occupancy_ns(len(window))
+            outcomes = record.outcomes
+            count = -(-len(trace) // WINDOW_ACCESSES)
+            windows = np.arange(len(trace)) // WINDOW_ACCESSES
+            # DRAM sees only misses and bypasses, in trace order, each
+            # dirty victim written back at its true address just before
+            # the miss that evicted it fetches.
+            requested = np.flatnonzero(outcomes != HIT)
+            positions = np.concatenate(
+                [2 * record.victim_indices, 2 * requested + 1]
+            )
+            order = np.argsort(positions)
+            dram = account_windows(
+                system.dram,
+                np.concatenate(
+                    [record.victim_addresses, trace.addresses[requested]]
+                )[order],
+                windows[positions[order] // 2],
+                count,
+            )
+            stream_counts = np.bincount(
+                windows * len(Stream) + trace.streams,
+                minlength=count * len(Stream),
+            ).reshape(count, len(Stream))
+            misses = np.bincount(windows[outcomes == MISS], minlength=count)
+            lookups = np.bincount(windows, minlength=count)
+            row_hit_rates = dram.row_hit_rates().tolist()
+            for counts, window_misses, window_lookups, dram_ns, hit_rate in zip(
+                stream_counts.tolist(),
+                misses.tolist(),
+                lookups.tolist(),
+                dram.service_ns.tolist(),
+                row_hit_rates,
+            ):
+                compute_ns = shader.compute_ns(dict(enumerate(counts)))
+                llc_ns = llc_timing.occupancy_ns(window_lookups)
                 miss_latency = (
-                    dram.average_latency_ns() + llc_timing.hit_latency_ns
+                    average_latency_ns(system.dram, hit_rate)
+                    + llc_timing.hit_latency_ns
                 )
-                exposed_ns = shader.exposed_latency_ns(
-                    int(np.count_nonzero(window == MISS)), miss_latency
-                )
+                exposed_ns = shader.exposed_latency_ns(window_misses, miss_latency)
                 total_ns += max(compute_ns, dram_ns, llc_ns) + exposed_ns
                 compute_total += compute_ns
                 dram_total += dram_ns
@@ -167,7 +186,7 @@ class FrameTimingSimulator:
                 exposed_total += exposed_ns
         timing_seconds = time.perf_counter() - timing_started
 
-        result = replayed.result
+        result = record.result
         return FrameTiming(
             policy=result.policy,
             frame_ns=total_ns,
@@ -177,7 +196,7 @@ class FrameTimingSimulator:
             exposed_ns=exposed_total,
             accesses=len(trace),
             misses=result.misses,
-            dram_row_hit_rate=dram.row_hit_rate,
+            dram_row_hit_rate=row_hit_rates[-1] if count else 0.0,
             scale=float(trace.meta.get("scale", system.scale or 1.0)),
             setup_seconds=result.setup_seconds,
             replay_seconds=result.replay_seconds + timing_seconds,

@@ -45,6 +45,39 @@ def test_timing_flag(tiny_trace_path, capsys):
     assert "Frame timing" in capsys.readouterr().out
 
 
+def test_timing_integrates_the_replay_already_run(
+    tiny_trace_path, tmp_path, monkeypatch
+):
+    """``--timing`` replays each policy once, not once more for the
+    frame-timing model, and ``--metrics-out`` still gets both the
+    sampled events and the frame-timing manifests."""
+    import json
+
+    from repro.fastsim import engine
+
+    replays = []
+    fast_replay = engine.fast_replay
+
+    def counting(trace, policy, *args, **kwargs):
+        replays.append(policy)
+        return fast_replay(trace, policy, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "fast_replay", counting)
+    out = tmp_path / "m"
+    assert main(
+        ["--trace", tiny_trace_path, "--policies", "drrip", "gspc+ucd",
+         "--timing", "--engine", "fast", "--metrics-out", str(out)]
+    ) == 0
+    assert replays == ["drrip", "gspc+ucd"]
+    manifests = [json.loads((out / name).read_text()) for name in os.listdir(out)]
+    assert sorted(manifest["kind"] for manifest in manifests) == [
+        "frame-timing", "frame-timing", "offline-sim", "offline-sim"
+    ]
+    for manifest in manifests:
+        if manifest["kind"] == "offline-sim":
+            assert manifest["events"]["events"] > 0
+
+
 def test_app_synthesis(capsys):
     assert main(
         ["--app", "AssnCreed", "--scale", "0.0625", "--policies", "lru"]

@@ -103,6 +103,17 @@ class TestDRAM:
         with pytest.raises(ConfigError):
             DRAMConfig(channels=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("channels", 3), ("banks_per_channel", 6), ("row_bytes", 3000)],
+    )
+    def test_rejects_non_power_of_two_geometry(self, field, value):
+        """Channel, bank and row decode slice address bits, so a
+        geometry that is not a power of two is refused where it is
+        configured, not left for a timing model to trip over."""
+        with pytest.raises(ConfigError, match=field):
+            DRAMConfig(**{field: value})
+
 
 class TestGPU:
     def test_baseline_matches_paper(self):

@@ -9,7 +9,9 @@ read that record instead of driving their own LLC, so:
 * the timing fields must equal the values the models produced when
   each still ran its own reference LLC loop, pinned in
   ``tests/golden/timing_models.json`` at full float precision on one
-  small frame (plus the same frame cut to exactly one timing window).
+  small frame (plus the same frame cut to exactly one timing window),
+  whether a model replays itself or is handed a record;
+* a handed record must belong to the trace and policy it is run with.
 """
 
 from __future__ import annotations
@@ -53,13 +55,16 @@ def frame():
     return trace, system
 
 
-def _windowed(trace, system, policy, engine="auto"):
-    return FrameTimingSimulator(system).run(trace, policy, engine=engine).to_dict()
+def _windowed(trace, system, policy, engine="auto", record=None):
+    simulator = FrameTimingSimulator(system)
+    return simulator.run(trace, policy, engine=engine, record=record).to_dict()
 
 
-def _detailed(trace, system, policy, engine="auto"):
+def _detailed(trace, system, policy, engine="auto", record=None):
     return dataclasses.asdict(
-        DetailedGPUSimulator(system).run(trace, policy, engine=engine)
+        DetailedGPUSimulator(system).run(
+            trace, policy, engine=engine, record=record
+        )
     )
 
 
@@ -83,6 +88,34 @@ def test_windowed_model_pinned_on_whole_windows(frame, policy):
 def test_detailed_model_matches_pinned_values(frame, policy):
     trace, system = frame
     assert _detailed(trace, system, policy) == PINNED["detailed"][policy]
+
+
+@pytest.mark.parametrize("policy", sorted(PINNED["windowed"]))
+def test_models_match_pinned_values_from_a_handed_record(frame, policy):
+    trace, system = frame
+    record = replay(trace, policy, system.llc)
+    assert _windowed(trace, system, policy, record=record) == PINNED["windowed"][policy]
+    assert _detailed(trace, system, policy, record=record) == PINNED["detailed"][policy]
+    cut = trace.slice(0, WINDOW_ACCESSES)
+    record = replay(cut, policy, system.llc)
+    assert _windowed(cut, system, policy, record=record) == (
+        PINNED["windowed_cut"][policy]
+    )
+
+
+@pytest.mark.parametrize(
+    "model", [FrameTimingSimulator, DetailedGPUSimulator], ids=["windowed", "detailed"]
+)
+def test_mismatched_record_is_refused(frame, model):
+    """A record of another policy or of another (shorter) trace raises
+    rather than being integrated as if it were this run's."""
+    trace, system = frame
+    record = replay(trace, "lru", system.llc)
+    simulator = model(system)
+    with pytest.raises(SimulationError, match="does not match"):
+        simulator.run(trace, "drrip", record=record)
+    with pytest.raises(SimulationError, match="does not match"):
+        simulator.run(trace.slice(0, 100), "lru", record=record)
 
 
 @pytest.mark.parametrize("policy", COVERED)
