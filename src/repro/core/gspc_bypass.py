@@ -24,16 +24,9 @@ _TEX = int(StreamClass.TEX)
 class GSPCBypassPolicy(GSPCPolicy):
     name = "gspc+bypass"
 
-    def bind(self, geometry) -> None:
-        super().bind(geometry)
-        self.bypassed_fills = 0
-
     def should_bypass(self, ctx: AccessContext) -> bool:
         # Never bypass in the sample sets: they must keep learning the
         # true reuse probabilities under SRRIP.
         if ctx.is_sample or ctx.sclass != _TEX or ctx.is_write:
             return False
-        if self._low_reuse("fill_e0", "hit_e0", ctx.bank):
-            self.bypassed_fills += 1
-            return True
-        return False
+        return self._low_reuse("fill_e0", "hit_e0", ctx.bank)

@@ -14,7 +14,7 @@ ingredient at a time, all measured as misses normalized to DRRIP:
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.tables import Table, mean
 from repro.core.registry import policy_spec
@@ -135,19 +135,24 @@ def _render_cache_ablation(config: ExperimentConfig) -> Table:
     llc = config.llc()
     engine = config.engine
     reference = config.scale**1.25
+    # At small scales every cache hits its size floor, so two factors
+    # can give one configuration; each distinct one replays once.
+    rows: Dict[RenderCachesConfig, Tuple[int, float]] = {}
     for label, factor in (
         ("quarter", reference / 4),
         ("baseline", reference),
         ("4x", min(1.0, reference * 4)),
     ):
         caches = RenderCachesConfig().scaled(factor)
-        lengths = []
-        ratios = []
-        for command_list in command_lists:
-            trace = replay_command_list(command_list, caches)
-            lengths.append(len(trace))
-            baseline = simulate_trace(trace, "drrip", llc, engine=engine)
-            result = simulate_trace(trace, "gspc+ucd", llc, engine=engine)
-            ratios.append(result.misses_normalized_to(baseline))
-        table.add_row(label, int(mean(lengths)), mean(ratios))
+        if caches not in rows:
+            lengths = []
+            ratios = []
+            for command_list in command_lists:
+                trace = replay_command_list(command_list, caches)
+                lengths.append(len(trace))
+                baseline = simulate_trace(trace, "drrip", llc, engine=engine)
+                result = simulate_trace(trace, "gspc+ucd", llc, engine=engine)
+                ratios.append(result.misses_normalized_to(baseline))
+            rows[caches] = (int(mean(lengths)), mean(ratios))
+        table.add_row(label, *rows[caches])
     return table

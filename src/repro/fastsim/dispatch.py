@@ -1,16 +1,19 @@
 """Engine selection: which runs may take the fast replay path.
 
-The fast engine covers the policies whose per-access transitions
-specialize into a flat loop: ``nru``, ``lru``, ``srrip``, ``drrip``
-(any RRPV width, set-dueling included), ``belady``, and the paper's
-GSPC family — ``gspztc``, ``gspztc+tse``, and ``gspc`` (epoch/TSE
-state machine plus PROD/CONS render-target protection).  Everything
-else — SHiP, GS-DRRIP, ``gspc+bypass`` — uses the reference engine.
+Every policy class the registry builds has a kernel: ``nru``, ``lru``,
+``bip``, ``dip``, ``srrip``, ``brrip``, ``drrip`` (any RRPV width),
+``gs-drrip`` (per-stream-class duels, any RRPV width), ``ship-mem``,
+``belady``, and the paper's GSPC family — ``gspztc``, ``gspztc+tse``,
+``gspc`` and ``gspc+bypass``.  So ``FAST_POLICIES`` equals
+:func:`~repro.core.registry.available_policies`, and only an ad-hoc
+policy instance whose exact class has no kernel (a subclass overriding
+hooks, say) needs the reference engine.
 
 ``auto`` (the default everywhere) picks the fast engine exactly when it
 is applicable and silently falls back otherwise, so results never
-change with the engine knob; ``fast`` is strict and raises when the run
-cannot take the fast path.
+change with the engine knob: a registry name runs on a kernel, an
+ad-hoc instance whose class has no kernel on the reference engine.
+``fast`` is strict and raises when the run cannot take the fast path.
 """
 
 from __future__ import annotations
@@ -19,8 +22,12 @@ from typing import Optional, Tuple
 
 from repro.core.base import ReplacementPolicy
 from repro.core.belady import BeladyPolicy
+from repro.core.brrip import BRRIPPolicy
+from repro.core.dip import BIPPolicy, DIPPolicy
 from repro.core.drrip import DRRIPPolicy
+from repro.core.gs_drrip import GSDRRIPPolicy
 from repro.core.gspc import GSPCPolicy
+from repro.core.gspc_bypass import GSPCBypassPolicy
 from repro.core.gspztc import GSPZTCPolicy
 from repro.core.gspztc_tse import GSPZTCTSEPolicy
 from repro.core.lru import LRUPolicy
@@ -31,6 +38,7 @@ from repro.core.registry import (
     policy_spec,
     resolve_policy,
 )
+from repro.core.ship import SHiPMemPolicy
 from repro.core.srrip import SRRIPPolicy
 from repro.errors import SimulationError
 
@@ -41,29 +49,35 @@ ENGINE_AUTO = "auto"
 ENGINES = (ENGINE_REFERENCE, ENGINE_FAST, ENGINE_AUTO)
 
 #: Exact policy classes with a specialized kernel, keyed to the kernel
-#: name.  Exact type checks, not ``isinstance``: a subclass (GS-DRRIP
-#: derives from DRRIP, SHiP from SRRIP, the bypass extension from GSPC)
-#: overrides hooks the kernel has inlined, so it must take the
+#: name.  Exact type checks, not ``isinstance``: a subclass overrides
+#: hooks its base's kernel has inlined (the bypass extension derives
+#: from GSPC, DIP from BIP), so it needs a kernel of its own or the
 #: reference path.
 _KERNEL_OF_TYPE = {
     NRUPolicy: "nru",
     LRUPolicy: "lru",
+    BIPPolicy: "bip",
+    DIPPolicy: "dip",
     SRRIPPolicy: "srrip",
+    BRRIPPolicy: "brrip",
     DRRIPPolicy: "drrip",
+    GSDRRIPPolicy: "gs_drrip",
+    SHiPMemPolicy: "ship_mem",
     BeladyPolicy: "belady",
     GSPZTCPolicy: "gspztc",
     GSPZTCTSEPolicy: "gspztc_tse",
     GSPCPolicy: "gspc",
+    GSPCBypassPolicy: "gspc_bypass",
 }
 
 
 def _covered_registry_names() -> Tuple[str, ...]:
     """Registry base names whose *built* policy has a kernel.
 
-    Derived from the registry rather than hand-listed so the strict
-    ``--engine fast`` error (and the benchmarks) stay truthful as
-    kernel coverage grows.  Exact-type semantics carry over: a name
-    that builds a subclass with overridden hooks is not covered.
+    Derived from the registry rather than hand-listed, so the strict
+    ``--engine fast`` error and the benchmarks enumerate exactly the
+    covered names, and a registry name added without a kernel is
+    missing here.
     """
     names = []
     for name in available_policies():
@@ -72,8 +86,9 @@ def _covered_registry_names() -> Tuple[str, ...]:
     return tuple(sorted(names))
 
 
-#: Registry base names covered by the fast engine (each also accepts
-#: ``+ucd`` and, for DRRIP, any RRPV width — coverage is by class).
+#: Registry base names covered by the fast engine: all of them (each
+#: also accepts ``+ucd`` and any constructor parameter — coverage is by
+#: class).
 FAST_POLICIES = _covered_registry_names()
 
 

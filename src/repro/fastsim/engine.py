@@ -14,7 +14,7 @@ than silently degrade) to run a policy without a kernel — engine
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional
+from typing import FrozenSet, Iterable, Optional
 
 import numpy as np
 
@@ -22,13 +22,12 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.llc import BYPASS, HIT, MISS
 from repro.cache.stats import LLCStats
 from repro.config import LLCConfig
-from repro.core.gspc_base import ProbabilisticStreamPolicy
 from repro.core.registry import PolicyLike, resolve_policy
 from repro.core.rrip import RRIPPolicy
 from repro.errors import SimulationError
 from repro.fastsim.decode import decode_trace
 from repro.fastsim.dispatch import kernel_kind
-from repro.fastsim.kernels import kernel_for, kernel_params
+from repro.fastsim.kernels import kernel_columns, kernel_for, kernel_params
 from repro.obs.spans import SpanRecorder
 from repro.sim.results import Replay, SimResult
 from repro.streams import ALL_STREAMS, Stream, StreamClass
@@ -61,8 +60,9 @@ def fast_replay(
     """:func:`fast_simulate_trace` plus the kernel's replay record.
 
     The kernel only sees the accesses ``decode_trace`` kept; the
-    filtered (statically uncached) positions become ``BYPASS`` and the
-    victims' replay positions map back to trace positions.
+    filtered (statically uncached) positions become ``BYPASS``, as do
+    the fills a kernel's ``bypass`` hook vetoed, and the victims'
+    replay positions map back to trace positions.
     """
     if spans is None:
         spans = SpanRecorder()
@@ -75,17 +75,13 @@ def fast_replay(
         )
     geometry = CacheGeometry.from_config(llc_config or LLCConfig())
     kernel = kernel_for(kind)
-    params = kernel_params(instance, geometry)
+    params = kernel_params(kind, instance, geometry)
 
     setup_started = time.perf_counter()
     with spans.span("setup"):
-        decoded = decode_trace(
-            trace,
-            geometry,
-            uncached,
-            needs_future=instance.needs_future,
-            needs_bank=isinstance(instance, ProbabilisticStreamPolicy),
-        )
+        decoded = decode_trace(trace, geometry, uncached, **kernel_columns(kind))
+    # SHiP-mem's per-access column; every other kernel ignores it.
+    params["signatures"] = decoded.signatures
     setup_seconds = time.perf_counter() - setup_started
 
     replay_started = time.perf_counter()
@@ -117,7 +113,7 @@ def fast_replay(
 
     result = SimResult(
         policy=instance.name,
-        stats=_assemble_stats(counters, trace, outcomes),
+        stats=_assemble_stats(counters, trace, outcomes, uncached),
         accesses=len(trace),
         elapsed_seconds=setup_seconds + replay_seconds,
         setup_seconds=setup_seconds,
@@ -137,36 +133,52 @@ def fast_replay(
     )
 
 
-def _assemble_stats(counters: dict, trace: Trace, outcomes: np.ndarray) -> LLCStats:
+def _assemble_stats(
+    counters: dict, trace: Trace, outcomes: np.ndarray, uncached: FrozenSet[Stream]
+) -> LLCStats:
     """The kernel's counters plus the counts its replay record implies.
 
-    Kernel policies never veto a fill, so every miss fills and reads
-    DRAM, every fill past the resident blocks evicted one, every bypass
-    is an uncached access passed straight to DRAM, and every write-back
-    is one recorded dirty victim.
+    Every ``MISS`` filled and read DRAM, every fill past the resident
+    blocks evicted one, and every write-back is one recorded dirty
+    victim.  A ``BYPASS`` counts as :meth:`LLC.access
+    <repro.cache.llc.LLC.access>` counts it: on a statically uncached
+    stream it is a bypass, passed straight to DRAM as a read or a
+    write; on any other stream the policy vetoed the fill, which is a
+    miss that reads DRAM (and also writes it, for a write) but fills
+    nothing.
     """
     stats = LLCStats()
     streams = trace.streams
-    counts = {
-        code: np.bincount(streams[outcomes == code], minlength=len(Stream)).tolist()
-        for code in (HIT, MISS, BYPASS)
-    }
+    bypassed = outcomes == BYPASS
+    hits, misses, bypasses, bypass_writes = (
+        np.bincount(streams[mask], minlength=len(Stream)).tolist()
+        for mask in (
+            outcomes == HIT,
+            outcomes == MISS,
+            bypassed,
+            bypassed & trace.writes,
+        )
+    )
+    uncached_writes = 0
     for stream in ALL_STREAMS:
         per_stream = stats.per_stream[stream]
-        per_stream.hits = counts[HIT][stream]
-        per_stream.misses = counts[MISS][stream]
-        per_stream.bypasses = counts[BYPASS][stream]
-    bypass_writes = int(np.count_nonzero(trace.writes[outcomes == BYPASS]))
+        per_stream.hits = hits[stream]
+        per_stream.misses = misses[stream]
+        if stream in uncached:
+            per_stream.bypasses = bypasses[stream]
+            uncached_writes += bypass_writes[stream]
+        else:
+            per_stream.misses += bypasses[stream]
     writebacks = len(counters["victim_at"])
-    stats.fills = sum(counts[MISS])
+    stats.fills = sum(misses)
     stats.evictions = stats.fills - len(counters["resident"])
     stats.writebacks = writebacks
     stats.tex_inter_hits = counters["tex_inter_hits"]
     stats.tex_intra_hits = counters["tex_intra_hits"]
     stats.rt_produced = counters["rt_produced"]
     stats.rt_consumed = counters["rt_consumed"]
-    stats.dram_reads = stats.fills + sum(counts[BYPASS]) - bypass_writes
-    stats.dram_writes = writebacks + bypass_writes
+    stats.dram_reads = stats.fills + sum(bypasses) - uncached_writes
+    stats.dram_writes = writebacks + sum(bypass_writes)
     return stats
 
 

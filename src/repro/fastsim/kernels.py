@@ -8,9 +8,17 @@ at the marked points and all state held in flat Python lists plus one
 global ``{block: slot}`` dict (a block address determines its set, so
 one dict replaces the per-set lookups).  Generating every kernel from
 the same template keeps the engine semantics single-source — a policy
-only contributes its ``setup`` / ``on hit`` / ``select victim`` /
-``on fill`` snippets, mirroring the hook interface of
-:class:`~repro.core.base.ReplacementPolicy` line for line.
+only contributes its ``setup`` / ``on hit`` / ``bypass`` / ``select
+victim`` / ``on evict`` / ``on fill`` snippets, mirroring the hook
+interface of :class:`~repro.core.base.ReplacementPolicy` line for line.
+The two optional hooks emit no source text when a policy leaves them
+empty:
+
+* ``bypass`` runs on a miss before anything is filled; to veto the
+  fill it writes ``outcomes[index] = 2`` (``BYPASS``) and moves on to
+  the next access with ``continue``.
+* ``on evict`` runs after victim selection, before the victim leaves
+  ``lookup``, with ``slot`` and ``base`` naming the victim and its set.
 
 Victim-selection snippets must leave the chosen slot in ``slot``;
 ``base`` is the set's first slot and ``end`` the one past its last.
@@ -26,10 +34,13 @@ victims and the blocks left resident, see
 one eviction site; the engine derives per-stream counts, fills,
 evictions, DRAM traffic and write-backs from it.
 
-The GSPC family (``gspztc``, ``gspztc_tse``, ``gspc``) adds per-bank
-saturating counters and a per-line epoch state array on top of the
-RRIP substrate; those kernels additionally consume the pre-decoded
-``bank`` / ``sample`` columns (see :mod:`repro.fastsim.decode`).
+The GSPC family (``gspztc``, ``gspztc_tse``, ``gspc``, ``gspc_bypass``)
+adds per-bank saturating counters and a per-line epoch state array on
+top of the RRIP substrate; those kernels additionally consume the
+pre-decoded ``bank`` / ``sample`` columns, and ``ship_mem`` consumes a
+pre-decoded signature-table index per access (see
+:mod:`repro.fastsim.decode`).  Every policy class the registry builds
+has a kernel here.
 """
 
 from __future__ import annotations
@@ -41,9 +52,9 @@ from typing import Callable, Dict, Tuple
 from repro.core.base import NEVER
 from repro.core.brrip import BIMODAL_PERIOD
 from repro.core.dueling import leader_roles
+from repro.core.gs_drrip import NUM_STREAM_CLASSES
 from repro.core.gspc import LOW_FACTOR, MID_FACTOR
-from repro.core.gspc_base import ProbabilisticStreamPolicy
-from repro.core.rrip import RRIPPolicy
+from repro.core import ship
 from repro.errors import SimulationError
 
 _TEMPLATE = string.Template("""\
@@ -74,6 +85,7 @@ ${setup}
             outcomes[index] = 1
 ${hit_body}
             continue
+${bypass}\
         count = filled[base]
         if count < ways:
             slot = base + count
@@ -81,6 +93,7 @@ ${hit_body}
         else:
             end = base + ways
 ${select_victim}
+${on_evict}\
             if dirty[slot]:
                 victim_at.append(index)
                 victim_blocks.append(tags[slot])
@@ -128,6 +141,11 @@ if write:
 ${on_hit}
 """)
 
+
+def _indented(snippet: str, depth: int) -> str:
+    return textwrap.indent(snippet.rstrip(), " " * depth)
+
+
 # RRPVs are stored *relative* to a per-set aging offset: the effective
 # RRPV of a block is ``rrpv[slot] + age[base]``.  The reference engine's
 # aging step adds (max - oldest) to every block in the set, which the
@@ -152,42 +170,161 @@ slot = base + seg.index(oldest)
 age[base] = max_rrpv - oldest
 """
 
+_RRIP_INSERT = """\
+rrpv[slot] = value - age[base]
+fill_counts[sclass][value] += 1
+"""
+
+_LRU_SETUP = "stamps = [0] * total_slots\nclocks = [0] * total_slots"
+
+_LRU_VICTIM = """\
+seg = stamps[base:end]
+slot = base + seg.index(min(seg))
+"""
+
 _LRU_TOUCH = """\
 clock = clocks[base] + 1
 clocks[base] = clock
 stamps[slot] = clock
 """
 
-# DRRIP fill: leader misses move PSEL first, then the set's role (or
-# the duel winner, for followers) picks SRRIP or BRRIP insertion.
-# Roles: 1 = SRRIP leader, 2 = BRRIP leader, 0 = follower.
-_DRRIP_FILL = """\
-role = roles_by_base[base]
-if role == 1:
-    if psel < psel_max:
-        psel += 1
-    value = long_rrpv
-elif role == 2:
-    if psel > 0:
-        psel -= 1
-    fill_tick += 1
-    if fill_tick >= bimodal_period:
-        fill_tick = 0
-        value = long_rrpv
-    else:
-        value = max_rrpv
-elif psel > psel_mid:
-    fill_tick += 1
-    if fill_tick >= bimodal_period:
-        fill_tick = 0
-        value = long_rrpv
-    else:
-        value = max_rrpv
-else:
-    value = long_rrpv
-rrpv[slot] = value - age[base]
-fill_counts[sclass][value] += 1
+# BIP's insertion at the LRU position: one below the set's oldest
+# stamp, taken over the whole set, the slot's stale stamp included.
+_LRU_INSERT = "stamps[slot] = min(stamps[base:base + ways]) - 1"
+
+
+_BIMODAL_SETUP = """\
+bimodal_period = params["bimodal_period"]
+fill_tick = 0
 """
+
+
+def _bimodal(tick: str, rare: str, common: str) -> str:
+    """Bimodal insertion: ``rare`` one fill in ``bimodal_period``,
+    ``common`` otherwise, counted by the fill counter ``tick``."""
+    return (
+        f"{tick} += 1\n"
+        f"if {tick} >= bimodal_period:\n"
+        f"    {tick} = 0\n"
+        f"{_indented(rare, 4)}\n"
+        "else:\n"
+        f"{_indented(common, 4)}\n"
+    )
+
+
+def _duel_fill(
+    roles: str, psel: str, tick: str, policy_a: str, rare: str, common: str
+) -> str:
+    """One set duel's fill (DRRIP, GS-DRRIP, DIP): leader misses move
+    PSEL first, then the set's role (or the duel winner, for followers)
+    picks ``policy_a`` or the bimodal policy B.  ``roles``, ``psel`` and
+    ``tick`` are the expressions naming the duel's state.
+    Roles: 1 = policy-A leader, 2 = policy-B leader, 0 = follower."""
+    policy_b = textwrap.indent(_bimodal(tick, rare, common), "    ")
+    return (
+        f"role = {roles}\n"
+        "if role == 1:\n"
+        f"    if {psel} < psel_max:\n"
+        f"        {psel} += 1\n"
+        f"{_indented(policy_a, 4)}\n"
+        "elif role == 2:\n"
+        f"    if {psel} > 0:\n"
+        f"        {psel} -= 1\n"
+        f"{policy_b}"
+        f"elif {psel} > psel_mid:\n"
+        f"{policy_b}"
+        "else:\n"
+        f"{_indented(policy_a, 4)}\n"
+    )
+
+
+# PSEL and bimodal state of one duel; ``roles`` arrive per set and are
+# spread to each set's base slot.
+_DUEL_SETUP = f"""\
+roles = params["roles"]
+roles_by_base = [0] * total_slots
+for set_i in range(num_sets):
+    roles_by_base[set_i * ways] = roles[set_i]
+psel = params["psel_midpoint"]
+psel_mid = params["psel_midpoint"]
+psel_max = params["psel_max"]
+{_BIMODAL_SETUP}"""
+
+_BRRIP_FILL = (
+    _bimodal("fill_tick", "value = long_rrpv", "value = max_rrpv") + _RRIP_INSERT
+)
+
+# DRRIP: SRRIP insertion against BRRIP's.
+_DRRIP_FILL = (
+    _duel_fill(
+        "roles_by_base[base]",
+        "psel",
+        "fill_tick",
+        "value = long_rrpv",
+        "value = long_rrpv",
+        "value = max_rrpv",
+    )
+    + _RRIP_INSERT
+)
+
+# GS-DRRIP: DRRIP's duel with the roles, PSEL and bimodal tick held per
+# stream class.
+_GS_DRRIP_SETUP = """\
+roles_by_class = []
+for roles in params["class_roles"]:
+    roles_by_base = [0] * total_slots
+    for set_i in range(num_sets):
+        roles_by_base[set_i * ways] = roles[set_i]
+    roles_by_class.append(roles_by_base)
+psels = [params["psel_midpoint"]] * len(roles_by_class)
+psel_mid = params["psel_midpoint"]
+psel_max = params["psel_max"]
+bimodal_period = params["bimodal_period"]
+fill_ticks = [0] * len(roles_by_class)
+"""
+
+_GS_DRRIP_FILL = (
+    _duel_fill(
+        "roles_by_class[sclass][base]",
+        "psels[sclass]",
+        "fill_ticks[sclass]",
+        "value = long_rrpv",
+        "value = long_rrpv",
+        "value = max_rrpv",
+    )
+    + _RRIP_INSERT
+)
+
+# SHiP-mem: one flat signature-history counter table (SHCT) over every
+# bank; each slot keeps its fill's table index and whether it was hit
+# since.  ``signature`` is the access's pre-decoded table index.
+_SHIP_SETUP = """\
+signatures = params["signatures"]
+shct = [1] * params["shct_entries"]
+signature_of = [0] * total_slots
+reused = [False] * total_slots
+"""
+
+_SHIP_ON_HIT = f"""\
+rrpv[slot] = -age[base]
+entry = signature_of[slot]
+if shct[entry] < {ship.COUNTER_MAX}:
+    shct[entry] += 1
+reused[slot] = True
+"""
+
+_SHIP_ON_EVICT = """\
+if not reused[slot]:
+    entry = signature_of[slot]
+    if shct[entry] > 0:
+        shct[entry] -= 1
+"""
+
+_SHIP_ON_FILL = f"""\
+signature_of[slot] = signature
+reused[slot] = False
+value = long_rrpv if shct[signature] else max_rrpv
+{_RRIP_INSERT}"""
 
 # -- GSPC family -------------------------------------------------------------
 #
@@ -437,6 +574,86 @@ else:
     value = 0
 """
 
+# -- per-run parameters -------------------------------------------------------
+#
+# Each kernel spec lists the parameter groups it reads; each group reads
+# its values off the policy instance and the geometry.
+
+
+def _rrip_params(policy, geometry) -> Dict[str, object]:
+    return {"max_rrpv": policy.max_rrpv}
+
+
+def _bimodal_params(policy, geometry) -> Dict[str, object]:
+    return {"bimodal_period": BIMODAL_PERIOD}
+
+
+def _psel_params(policy) -> Dict[str, object]:
+    return {
+        "psel_max": (1 << policy.psel_bits) - 1,
+        "psel_midpoint": 1 << (policy.psel_bits - 1),
+        "bimodal_period": BIMODAL_PERIOD,
+    }
+
+
+def _duel_params(policy, geometry) -> Dict[str, object]:
+    roles = leader_roles(geometry.num_sets, target_leaders=policy.target_leaders)
+    return {"roles": roles, **_psel_params(policy)}
+
+
+def _class_duel_params(policy, geometry) -> Dict[str, object]:
+    class_roles = [
+        leader_roles(
+            geometry.num_sets,
+            duel_index=sclass,
+            num_duels=NUM_STREAM_CLASSES,
+            target_leaders=policy.target_leaders,
+        )
+        for sclass in range(NUM_STREAM_CLASSES)
+    ]
+    return {"class_roles": class_roles, **_psel_params(policy)}
+
+
+def _gspc_params(policy, geometry) -> Dict[str, object]:
+    return {
+        "t": policy.t,
+        "counter_max": policy.counter_max,
+        "acc_max": policy.acc_max,
+        "banks": geometry.banks,
+    }
+
+
+def _tex_rrpv_params(policy, geometry) -> Dict[str, object]:
+    return {"tex_rrpv": policy.tex_rrpv}
+
+
+def _ship_params(policy, geometry) -> Dict[str, object]:
+    return {"shct_entries": geometry.banks * ship.TABLE_ENTRIES}
+
+
+def _future_params(policy, geometry) -> Dict[str, object]:
+    return {"never": NEVER}
+
+
+# ``gspc+bypass``: skip a non-sample, non-write texture fill whose
+# sampled epoch-0 reuse fails GSPC's distant-insertion test.  Sample
+# sets never bypass, so the counters keep learning; no counter ticks.
+_GSPC_BYPASS = """\
+if sclass == 1 and not sample and not write and fill_e0[bank] > t * hit_e0[bank]:
+    outcomes[index] = 2
+    continue
+"""
+
+_GSPC_SPEC: Dict[str, object] = {
+    "setup": _gspc_setup(_GSPC_COUNTERS),
+    "hit_body": _tse_hit_body(_GSPC_COUNTERS, rt_consumed="cons"),
+    "select_victim": _RRIP_VICTIM,
+    "on_fill": _tse_on_fill(_GSPC_COUNTERS, _GSPC_RT_VALUE, rt_produced="prod"),
+    "fill_counts": True,
+    "needs_bank": True,
+    "params": (_rrip_params, _gspc_params),
+}
+
 _SPECS: Dict[str, Dict[str, object]] = {
     "nru": {
         "setup": (
@@ -454,13 +671,31 @@ except ValueError:
         "on_fill": "referenced[slot] = True",
     },
     "lru": {
-        "setup": "stamps = [0] * total_slots\nclocks = [0] * total_slots",
+        "setup": _LRU_SETUP,
         "on_hit": _LRU_TOUCH,
-        "select_victim": """\
-seg = stamps[base:end]
-slot = base + seg.index(min(seg))
-""",
+        "select_victim": _LRU_VICTIM,
         "on_fill": _LRU_TOUCH,
+    },
+    "bip": {
+        "setup": _LRU_SETUP + "\n" + _BIMODAL_SETUP,
+        "on_hit": _LRU_TOUCH,
+        "select_victim": _LRU_VICTIM,
+        "on_fill": _bimodal("fill_tick", _LRU_TOUCH, _LRU_INSERT),
+        "params": (_bimodal_params,),
+    },
+    "dip": {
+        "setup": _LRU_SETUP + "\n" + _DUEL_SETUP,
+        "on_hit": _LRU_TOUCH,
+        "select_victim": _LRU_VICTIM,
+        "on_fill": _duel_fill(
+            "roles_by_base[base]",
+            "psel",
+            "fill_tick",
+            _LRU_TOUCH,
+            _LRU_TOUCH,
+            _LRU_INSERT,
+        ),
+        "params": (_duel_params,),
     },
     "srrip": {
         "setup": _RRIP_SETUP,
@@ -471,24 +706,41 @@ slot = base + seg.index(min(seg))
             "fill_counts[sclass][long_rrpv] += 1"
         ),
         "fill_counts": True,
+        "params": (_rrip_params,),
+    },
+    "brrip": {
+        "setup": _RRIP_SETUP + _BIMODAL_SETUP,
+        "on_hit": "rrpv[slot] = -age[base]",
+        "select_victim": _RRIP_VICTIM,
+        "on_fill": _BRRIP_FILL,
+        "fill_counts": True,
+        "params": (_rrip_params, _bimodal_params),
     },
     "drrip": {
-        "setup": _RRIP_SETUP
-        + """\
-roles = params["roles"]
-roles_by_base = [0] * total_slots
-for set_i in range(num_sets):
-    roles_by_base[set_i * ways] = roles[set_i]
-psel = params["psel_midpoint"]
-psel_mid = params["psel_midpoint"]
-psel_max = params["psel_max"]
-bimodal_period = params["bimodal_period"]
-fill_tick = 0
-""",
+        "setup": _RRIP_SETUP + _DUEL_SETUP,
         "on_hit": "rrpv[slot] = -age[base]",
         "select_victim": _RRIP_VICTIM,
         "on_fill": _DRRIP_FILL,
         "fill_counts": True,
+        "params": (_rrip_params, _duel_params),
+    },
+    "gs_drrip": {
+        "setup": _RRIP_SETUP + _GS_DRRIP_SETUP,
+        "on_hit": "rrpv[slot] = -age[base]",
+        "select_victim": _RRIP_VICTIM,
+        "on_fill": _GS_DRRIP_FILL,
+        "fill_counts": True,
+        "params": (_rrip_params, _class_duel_params),
+    },
+    "ship_mem": {
+        "setup": _RRIP_SETUP + _SHIP_SETUP,
+        "on_hit": _SHIP_ON_HIT,
+        "select_victim": _RRIP_VICTIM,
+        "on_evict": _SHIP_ON_EVICT,
+        "on_fill": _SHIP_ON_FILL,
+        "fill_counts": True,
+        "needs_signature": True,
+        "params": (_rrip_params, _ship_params),
     },
     "belady": {
         "setup": 'next_slot = [params["never"]] * total_slots',
@@ -499,6 +751,7 @@ slot = base + seg.index(max(seg))
 """,
         "on_fill": "next_slot[slot] = next_use",
         "needs_future": True,
+        "params": (_future_params,),
     },
     "gspztc": {
         "setup": _gspc_setup(_GSPZTC_COUNTERS) + '\ntex_rrpv = params["tex_rrpv"]',
@@ -507,6 +760,7 @@ slot = base + seg.index(max(seg))
         "on_fill": _GSPZTC_ON_FILL,
         "fill_counts": True,
         "needs_bank": True,
+        "params": (_rrip_params, _gspc_params, _tex_rrpv_params),
     },
     "gspztc_tse": {
         "setup": _gspc_setup(_TSE_COUNTERS),
@@ -515,28 +769,34 @@ slot = base + seg.index(max(seg))
         "on_fill": _tse_on_fill(_TSE_COUNTERS, "value = 0"),
         "fill_counts": True,
         "needs_bank": True,
+        "params": (_rrip_params, _gspc_params),
     },
-    "gspc": {
-        "setup": _gspc_setup(_GSPC_COUNTERS),
-        "hit_body": _tse_hit_body(_GSPC_COUNTERS, rt_consumed="cons"),
-        "select_victim": _RRIP_VICTIM,
-        "on_fill": _tse_on_fill(
-            _GSPC_COUNTERS, _GSPC_RT_VALUE, rt_produced="prod"
-        ),
-        "fill_counts": True,
-        "needs_bank": True,
-    },
+    "gspc": _GSPC_SPEC,
+    "gspc_bypass": dict(_GSPC_SPEC, bypass=_GSPC_BYPASS),
 }
+
+#: The optional per-access columns of :func:`repro.fastsim.decode.decode_trace`,
+#: by the spec flag (and ``decode_trace`` keyword) that requests each.
+_COLUMN_FLAGS = ("needs_future", "needs_bank", "needs_signature")
 
 _COMPILED: Dict[str, Callable] = {}
 
 
-def kernel_source(kind: str) -> str:
-    """The generated source of one kernel (also kept on the function)."""
+def _spec(kind: str) -> Dict[str, object]:
     if kind not in _SPECS:
         known = ", ".join(sorted(_SPECS))
         raise SimulationError(f"no fast kernel {kind!r}; known kernels: {known}")
-    spec = _SPECS[kind]
+    return _SPECS[kind]
+
+
+def _hook(snippet: object, depth: int) -> str:
+    """An optional hook's lines, or no text at all when it is empty."""
+    return _indented(str(snippet), depth) + "\n" if snippet else ""
+
+
+def kernel_source(kind: str) -> str:
+    """The generated source of one kernel (also kept on the function)."""
+    spec = _spec(kind)
     loop_vars = "block, base, sclass, write"
     loop_srcs = "blocks, bases, sclasses, writes"
     if spec.get("needs_future"):
@@ -545,16 +805,19 @@ def kernel_source(kind: str) -> str:
     if spec.get("needs_bank"):
         loop_vars += ", bank, sample"
         loop_srcs += ", banks, samples"
+    if spec.get("needs_signature"):
+        loop_vars += ", signature"
+        loop_srcs += ", signatures"
     hit_body = spec.get("hit_body")
     if hit_body is None:
         hit_body = _DEFAULT_HIT_BODY.substitute(on_hit=str(spec["on_hit"]).rstrip())
     return _TEMPLATE.substitute(
-        setup=textwrap.indent(str(spec["setup"]).rstrip(), " " * 4),
-        hit_body=textwrap.indent(str(hit_body).rstrip(), " " * 12),
-        select_victim=textwrap.indent(
-            str(spec["select_victim"]).rstrip(), " " * 12
-        ),
-        on_fill=textwrap.indent(str(spec["on_fill"]).rstrip(), " " * 8),
+        setup=_indented(str(spec["setup"]), 4),
+        hit_body=_indented(str(hit_body), 12),
+        bypass=_hook(spec.get("bypass"), 8),
+        select_victim=_indented(str(spec["select_victim"]), 12),
+        on_evict=_hook(spec.get("on_evict"), 12),
+        on_fill=_indented(str(spec["on_fill"]), 8),
         loop_vars=loop_vars,
         loop_srcs=loop_srcs,
         fill_counts="fill_counts" if spec.get("fill_counts") else "None",
@@ -575,29 +838,16 @@ def kernel_for(kind: str) -> Callable:
     return kernel
 
 
-def kernel_params(instance, geometry) -> Dict[str, object]:
-    """Per-run parameters a kernel reads from its policy instance."""
-    if isinstance(instance, ProbabilisticStreamPolicy):
-        return {
-            "max_rrpv": instance.max_rrpv,
-            "t": instance.t,
-            "counter_max": instance.counter_max,
-            "acc_max": instance.acc_max,
-            "banks": geometry.banks,
-            "tex_rrpv": getattr(instance, "tex_rrpv", 0),
-        }
-    if isinstance(instance, RRIPPolicy):
-        params: Dict[str, object] = {"max_rrpv": instance.max_rrpv}
-        if hasattr(instance, "psel_bits"):  # DRRIP set-dueling state
-            params.update(
-                roles=leader_roles(
-                    geometry.num_sets, target_leaders=instance.target_leaders
-                ),
-                psel_max=(1 << instance.psel_bits) - 1,
-                psel_midpoint=1 << (instance.psel_bits - 1),
-                bimodal_period=BIMODAL_PERIOD,
-            )
-        return params
-    if getattr(instance, "needs_future", False):
-        return {"never": NEVER}
-    return {}
+def kernel_columns(kind: str) -> Dict[str, bool]:
+    """Which optional per-access columns the kernel reads, as
+    :func:`~repro.fastsim.decode.decode_trace` keyword flags."""
+    spec = _spec(kind)
+    return {flag: bool(spec.get(flag)) for flag in _COLUMN_FLAGS}
+
+
+def kernel_params(kind: str, instance, geometry) -> Dict[str, object]:
+    """Per-run parameters the kernel ``kind`` reads from its policy instance."""
+    params: Dict[str, object] = {}
+    for group in _spec(kind).get("params", ()):
+        params.update(group(instance, geometry))
+    return params

@@ -75,7 +75,8 @@ class TestGSPCBypass:
 
         assert outcome == BYPASS
         assert not llc.contains(follower * 64)
-        assert policy.bypassed_fills == 1
+        # A vetoed fill: a miss that fills nothing.
+        assert (llc.stats.misses, llc.stats.fills, llc.stats.bypasses) == (1, 0, 0)
 
     def test_never_bypasses_samples(self):
         system = paper_baseline(llc_mb=8, scale=SCALE)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import KB, CacheParams, LLCConfig
+from repro.core.gspc import GSPCPolicy
+from repro.core.registry import available_policies
 from repro.errors import SimulationError
 from repro.fastsim import (
     ENGINES,
@@ -14,13 +16,15 @@ from repro.fastsim import (
     fast_simulate_trace,
     supports_policy,
 )
-from repro.fastsim.kernels import kernel_for, kernel_source
+from repro.fastsim.decode import mix_bits_array
+from repro.fastsim.kernels import _SPECS, kernel_for, kernel_source
 from repro.obs.events import SamplingObserver
 from repro.sim.epochs import EpochTracker
 from repro.sim.offline import simulate_trace
 from repro.streams import Stream
 from repro.trace import synth
 from repro.trace.record import Trace
+from repro.utils.bitops import mix_bits
 
 TINY = LLCConfig(params=CacheParams(2 * KB, ways=2), banks=1, sample_period=4)
 
@@ -33,6 +37,13 @@ small_traces = st.lists(
     min_size=1,
     max_size=300,
 )
+
+
+class TweakedGSPC(GSPCPolicy):
+    """An ad-hoc subclass: its overridden hook has no kernel."""
+
+    def on_hit(self, ctx):  # pragma: no cover - never simulated
+        super().on_hit(ctx)
 
 
 def _trace_from(entries) -> Trace:
@@ -130,23 +141,21 @@ def test_engines_tuple_and_coverage():
     for policy in FAST_POLICIES:
         assert supports_policy(policy)
         assert supports_policy(policy + "+ucd")
-    for policy in ("gspc", "gspc+ucd", "gspztc", "gspztc+tse"):
-        assert supports_policy(policy)
     for policy in ("gspc+bypass", "ship-mem", "gs-drrip", "brrip", "dip"):
-        assert not supports_policy(policy)
+        assert supports_policy(policy)
+    assert not supports_policy(TweakedGSPC())
 
 
 def test_fast_policies_derived_from_registry():
-    """The covered list tracks the registry, not a hand-written tuple."""
-    from repro.core.registry import available_policies
-
-    assert set(FAST_POLICIES) <= set(available_policies())
-    assert "gspc" in FAST_POLICIES
-    assert "gspc+bypass" not in FAST_POLICIES
+    """The covered list tracks the registry, not a hand-written tuple,
+    and every registry name has a kernel."""
+    assert FAST_POLICIES == available_policies()
+    assert "gspc+bypass" in FAST_POLICIES
 
 
 def test_choose_engine_auto_falls_back_for_uncovered_policy():
-    assert choose_engine("auto", "gspc+bypass") == "reference"
+    assert choose_engine("auto", TweakedGSPC()) == "reference"
+    assert choose_engine("auto", "gspc+bypass") == "fast"
     assert choose_engine("auto", "drrip") == "fast"
     assert choose_engine("auto", "gspc") == "fast"
 
@@ -185,7 +194,7 @@ def test_choose_engine_rejects_unknown_engine():
 
 def test_choose_engine_fast_rejects_uncovered_policy():
     with pytest.raises(SimulationError) as excinfo:
-        choose_engine("fast", "gspc+bypass")
+        choose_engine("fast", TweakedGSPC())
     message = str(excinfo.value)
     assert "not covered" in message
     # The message enumerates the covered policies dynamically.
@@ -195,16 +204,11 @@ def test_choose_engine_fast_rejects_uncovered_policy():
 
 def test_gspc_subclass_with_overridden_hooks_takes_reference_path():
     """Exact-type dispatch: a subclass's hook overrides must run."""
-    from repro.core.gspc import GSPCPolicy
-
-    class TweakedGSPC(GSPCPolicy):
-        def on_hit(self, ctx):  # pragma: no cover - never simulated
-            super().on_hit(ctx)
-
     assert supports_policy(GSPCPolicy())
     assert not supports_policy(TweakedGSPC())
     assert choose_engine("auto", TweakedGSPC()) == "reference"
-    assert not supports_policy("gspc+bypass")  # registry-named subclass
+    # A registry-named subclass has a kernel of its own.
+    assert supports_policy("gspc+bypass")
 
 
 def test_choose_engine_fast_rejects_observer():
@@ -222,7 +226,7 @@ def test_choose_engine_fast_rejects_observer():
 def test_fast_simulate_trace_rejects_uncovered_policy():
     trace = synth.cyclic_scan(8, 1)
     with pytest.raises(SimulationError, match="no fast kernel"):
-        fast_simulate_trace(trace, "gspc+bypass", TINY)
+        fast_simulate_trace(trace, TweakedGSPC(), TINY)
 
 
 def test_simulate_trace_unknown_engine_raises():
@@ -235,19 +239,20 @@ def test_simulate_trace_unknown_engine_raises():
 
 
 def test_kernel_source_is_compilable_python():
-    for kind in (
-        "nru",
-        "lru",
-        "srrip",
-        "drrip",
-        "belady",
-        "gspztc",
-        "gspztc_tse",
-        "gspc",
-    ):
+    for kind in _SPECS:
         source = kernel_source(kind)
         assert source.startswith("def replay(")
         compile(source, f"<{kind}>", "exec")
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1))
+@example(values=[0, 2**64 - 1])
+def test_ship_signature_hash_matches_mix_bits(values):
+    """The decode pass's NumPy hash is ``mix_bits``, bit for bit."""
+    mixed = mix_bits_array(np.array(values, dtype=np.uint64))
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [mix_bits(value) for value in values]
 
 
 def test_kernel_for_caches_and_records_source():

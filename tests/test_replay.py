@@ -25,6 +25,8 @@ import pytest
 
 from repro.cache.llc import BYPASS, HIT, MISS
 from repro.config import CacheParams, KB, LLCConfig, paper_baseline
+from repro.core.gs_drrip import GSDRRIPPolicy
+from repro.core.gspc_bypass import GSPCBypassPolicy
 from repro.core.registry import _int_parameters, policy_spec
 from repro.errors import SimulationError
 from repro.fastsim import FAST_POLICIES
@@ -232,9 +234,17 @@ def test_replay_result_matches_simulate_trace(frame):
         assert record.result.extras == result.extras
 
 
+class AdHocGSDRRIP(GSDRRIPPolicy):
+    """An ad-hoc subclass: no kernel covers its exact class."""
+
+
+class AdHocGSPCBypass(GSPCBypassPolicy):
+    """An ad-hoc subclass: no kernel covers its exact class."""
+
+
 def test_fast_engine_refuses_uncovered_timing_runs(frame):
     trace, system = frame
     with pytest.raises(SimulationError, match="not covered"):
-        FrameTimingSimulator(system).run(trace, "gs-drrip+ucd", engine="fast")
+        FrameTimingSimulator(system).run(trace, AdHocGSDRRIP(), engine="fast")
     with pytest.raises(SimulationError, match="not covered"):
-        DetailedGPUSimulator(system).run(trace, "gspc+bypass", engine="fast")
+        DetailedGPUSimulator(system).run(trace, AdHocGSPCBypass(), engine="fast")

@@ -149,3 +149,25 @@ def test_any_spelling_shares_one_result(config):
         assert frame_result(spec, "gspztc(t=4)", config) is not result
     finally:
         clear_result_caches()
+
+
+def test_render_cache_ablation_replays_each_configuration_once(config):
+    """At 1/32 scale Ablation E's quarter-size render caches hit the
+    baseline's size floors: one configuration, replayed once per app."""
+    from repro.workloads import replay as command_replay
+
+    replays = collections.Counter()
+    replay_command_list = command_replay.replay_command_list
+
+    def counting(command_list, caches, *args, **kwargs):
+        replays[caches] += 1
+        return replay_command_list(command_list, caches, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(command_replay, "replay_command_list", counting)
+        clear_result_caches()
+        table = ablation._render_cache_ablation(config)
+        clear_result_caches()
+    assert sorted(replays.values()) == [4, 4]
+    quarter, baseline, _ = table.rows
+    assert quarter[1:] == baseline[1:]

@@ -305,3 +305,23 @@ def test_unresolvable_policy_name_exits_2_before_any_job(tmp_path, policy, capsy
     assert run_cli("--out", out, *GRID, "--policies", policy) == 2
     assert "gspztc" in capsys.readouterr().err
     assert not out.exists() or not os.listdir(out)
+
+
+def test_paper_baselines_sweep_identically_on_both_engines(tmp_path, cache_dir):
+    """GS-DRRIP, SHiP-mem and the bypass extension run on their kernels
+    under the strict fast engine, with the reference engine's rows
+    apart from the engine column."""
+    policies = ["--policies", "gs-drrip", "ship-mem", "gspc+bypass"]
+    rows = {}
+    for engine in ("reference", "fast"):
+        out = str(tmp_path / engine)
+        assert run_cli(
+            "--out", out, "--cache-dir", cache_dir, *GRID, *policies,
+            "--engine", engine,
+        ) == 0
+        header, *lines = read(os.path.join(out, "results.csv")).splitlines()
+        columns = header.split(",")
+        rows[engine] = [dict(zip(columns, line.split(","))) for line in lines]
+        assert {row.pop("engine") for row in rows[engine]} == {engine}
+    assert rows["reference"] == rows["fast"]
+    assert sorted(row["policy"] for row in rows["fast"]) == sorted(policies[1:])
