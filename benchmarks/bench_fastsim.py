@@ -10,8 +10,9 @@ Two workloads are measured.  The *resident* trace (a cache-fitting
 cyclic scan, ~97% hit rate) is the headline number: steady-state replay
 where per-access engine overhead dominates, which is what the fast
 kernels eliminate.  The *mixed* producer/consumer trace is reported for
-context — on miss-heavy traces both engines spend their time in victim
-scans and dict churn, so the gap narrows.
+context — on miss-heavy traces both engines spend their time on
+evictions (victim selection, the dict deletes and inserts, RRIP aging),
+so the gap narrows.
 
 Timing is best-of-``--repeats`` on ``replay_seconds`` (setup excluded;
 both engines share the same vectorized decode costs there).  The

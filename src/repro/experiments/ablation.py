@@ -77,9 +77,12 @@ def run(config: ExperimentConfig) -> List[Table]:
         for spec in frames:
             # DRRIP's leader sets do not depend on the sample period.
             baseline = frame_result(spec, "drrip", config)
-            result = simulate_trace(
-                frame_trace(spec, config), "gspztc", variant, engine=config.engine
-            )
+            if variant == llc:  # the default period: Ablation A's GSPZTC
+                result = frame_result(spec, "gspztc", config)
+            else:
+                result = simulate_trace(
+                    frame_trace(spec, config), "gspztc", variant, engine=config.engine
+                )
             ratios.append(result.misses_normalized_to(baseline))
         sampling.add_row(period, llc.num_sets // period, mean(ratios))
 

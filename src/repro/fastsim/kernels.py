@@ -22,11 +22,14 @@ empty:
 
 Victim-selection snippets must leave the chosen slot in ``slot``;
 ``base`` is the set's first slot and ``end`` the one past its last.
-They lean on C-level list primitives — ``list.index`` with bounds,
-``min``/``max`` over a slice, slice assignment — instead of Python
-``for`` loops, which is where most of the engine's speedup comes from
-on miss-heavy traces.  Stream-class constants are inlined: ``0`` is Z,
-``1`` is TEX, ``2`` is RT (:data:`repro.streams.StreamClass`).
+They lean on C-level list primitives instead of Python ``for`` loops:
+NRU and the RRIP family search for a fixed value with one bounded
+``list.index`` (the first unreferenced way, the first way at the
+maximal RRPV), and fall back to a slice with ``max``/``index`` and a
+slice assignment only when the set holds no such way; the LRU family
+and Belady scan a slice with ``min``/``max`` and ``index``.
+Stream-class constants are inlined: ``0`` is Z, ``1`` is TEX, ``2`` is
+RT (:data:`repro.streams.StreamClass`).
 
 Every kernel also returns its replay record (outcome codes, dirty
 victims and the blocks left resident, see
@@ -146,32 +149,34 @@ def _indented(snippet: str, depth: int) -> str:
     return textwrap.indent(snippet.rstrip(), " " * depth)
 
 
-# RRPVs are stored *relative* to a per-set aging offset: the effective
-# RRPV of a block is ``rrpv[slot] + age[base]``.  The reference engine's
-# aging step adds (max - oldest) to every block in the set, which the
-# offset absorbs in O(1) — orderings inside a set are unchanged because
-# the offset is common to all its blocks.
+# RRPVs are absolute, 0..``max_rrpv``, as in ``RRIPPolicy.rrpv``.  None
+# ever exceeds ``max_rrpv``: fills insert at most there, hits write 0
+# (or GSPC's distant ``max_rrpv``), and aging lifts the set's oldest
+# block to exactly ``max_rrpv``.
 _RRIP_SETUP = """\
 max_rrpv = params["max_rrpv"]
 long_rrpv = max_rrpv - 1
 rrpv = [max_rrpv] * total_slots
-age = [0] * total_slots
 fill_counts = [[0] * (max_rrpv + 1) for _ in range(4)]
 """
 
-# First way at the maximal effective RRPV wins.  After the reference
-# engine's aging the set maximum is exactly ``max_rrpv``, so the new
-# offset is always ``max_rrpv - oldest_stored`` (a no-op when the set
-# already held a saturated block).
+# The first way at ``max_rrpv`` wins: one bounded ``list.index``, which
+# finds one on most evictions.  A set with none takes the reference
+# engine's aging step, raising every RRPV by ``max_rrpv - oldest``; the
+# first way at the old maximum is the first to saturate.
 _RRIP_VICTIM = """\
-seg = rrpv[base:end]
-oldest = max(seg)
-slot = base + seg.index(oldest)
-age[base] = max_rrpv - oldest
+try:
+    slot = rrpv.index(max_rrpv, base, end)
+except ValueError:
+    seg = rrpv[base:end]
+    oldest = max(seg)
+    slot = base + seg.index(oldest)
+    step = max_rrpv - oldest
+    rrpv[base:end] = [value + step for value in seg]
 """
 
 _RRIP_INSERT = """\
-rrpv[slot] = value - age[base]
+rrpv[slot] = value
 fill_counts[sclass][value] += 1
 """
 
@@ -306,7 +311,7 @@ reused = [False] * total_slots
 """
 
 _SHIP_ON_HIT = f"""\
-rrpv[slot] = -age[base]
+rrpv[slot] = 0
 entry = signature_of[slot]
 if shct[entry] < {ship.COUNTER_MAX}:
     shct[entry] += 1
@@ -331,7 +336,7 @@ value = long_rrpv if shct[signature] else max_rrpv
 # The epoch/TSE state machine of the GSPC family (gspztc, gspztc+tse,
 # gspc) compiles to the same flat shape as the baselines: one per-line
 # ``pstate`` array holding the Figure-10 block state (0 = E0, 1 = E1,
-# 2 = E>=2, 3 = RT), the relative-RRPV array of the RRIP substrate, and
+# 2 = E>=2, 3 = RT), the RRPV array of the RRIP substrate, and
 # one flat saturating-counter list per (counter, bank).  Probabilistic
 # insertion is a threshold compare against the live sampled counters —
 # ``FILL > t * HIT`` — exactly the reference's ``_low_reuse``, so the
@@ -388,7 +393,7 @@ if sclass == 3:
         dirty[slot] = True
     if sample:
 {textwrap.indent(_tick(_GSPZTC_COUNTERS), "        ")}
-    rrpv[slot] = -age[base]
+    rrpv[slot] = 0
 elif sclass == 1:
     if rt[slot]:
         tex_inter += 1
@@ -406,7 +411,7 @@ elif sclass == 1:
 {textwrap.indent(_inc("hit_tex"), "            ")}
     if pstate[slot] == 3:
         pstate[slot] = 0
-    rrpv[slot] = -age[base]
+    rrpv[slot] = 0
 elif sclass == 2:
     if not rt[slot]:
         rt[slot] = True
@@ -416,14 +421,14 @@ elif sclass == 2:
     if sample:
 {textwrap.indent(_tick(_GSPZTC_COUNTERS), "        ")}
     pstate[slot] = 3
-    rrpv[slot] = -age[base]
+    rrpv[slot] = 0
 else:
     if write:
         dirty[slot] = True
     if sample:
 {textwrap.indent(_tick(_GSPZTC_COUNTERS), "        ")}
 {textwrap.indent(_inc("hit_z"), "        ")}
-    rrpv[slot] = -age[base]
+    rrpv[slot] = 0
 """
 
 _GSPZTC_ON_FILL = f"""\
@@ -443,7 +448,7 @@ elif sclass == 2:
     value = 0
 else:
     value = long_rrpv
-rrpv[slot] = value - age[base]
+rrpv[slot] = value
 fill_counts[sclass][value] += 1
 """
 
@@ -465,7 +470,7 @@ if sclass == 3:
         dirty[slot] = True
     if sample:
 {textwrap.indent(_tick(counters), "        ")}
-    rrpv[slot] = -age[base]
+    rrpv[slot] = 0
 elif sclass == 1:
     if rt[slot]:
         tex_inter += 1
@@ -491,19 +496,15 @@ elif sclass == 1:
             pstate[slot] = 2
         else:
             pstate[slot] = 2
-        rrpv[slot] = -age[base]
+        rrpv[slot] = 0
     elif current == 3:
-        rrpv[slot] = (
-            max_rrpv if fill_e0[bank] > t * hit_e0[bank] else 0
-        ) - age[base]
+        rrpv[slot] = max_rrpv if fill_e0[bank] > t * hit_e0[bank] else 0
         pstate[slot] = 0
     elif current == 0:
-        rrpv[slot] = (
-            max_rrpv if fill_e1[bank] > t * hit_e1[bank] else 0
-        ) - age[base]
+        rrpv[slot] = max_rrpv if fill_e1[bank] > t * hit_e1[bank] else 0
         pstate[slot] = 1
     else:
-        rrpv[slot] = -age[base]
+        rrpv[slot] = 0
         pstate[slot] = 2
 elif sclass == 2:
     if not rt[slot]:
@@ -514,14 +515,14 @@ elif sclass == 2:
     if sample:
 {textwrap.indent(_tick(counters), "        ")}
     pstate[slot] = 3
-    rrpv[slot] = -age[base]
+    rrpv[slot] = 0
 else:
     if write:
         dirty[slot] = True
     if sample:
 {textwrap.indent(_tick(counters), "        ")}
 {textwrap.indent(_inc("hit_z"), "        ")}
-    rrpv[slot] = -age[base]
+    rrpv[slot] = 0
 """
 
 
@@ -556,7 +557,7 @@ elif sclass == 2:
 {textwrap.indent(rt_value, "    ")}
 else:
     value = long_rrpv
-rrpv[slot] = value - age[base]
+rrpv[slot] = value
 fill_counts[sclass][value] += 1
 """
 
@@ -699,10 +700,10 @@ except ValueError:
     },
     "srrip": {
         "setup": _RRIP_SETUP,
-        "on_hit": "rrpv[slot] = -age[base]",
+        "on_hit": "rrpv[slot] = 0",
         "select_victim": _RRIP_VICTIM,
         "on_fill": (
-            "rrpv[slot] = long_rrpv - age[base]\n"
+            "rrpv[slot] = long_rrpv\n"
             "fill_counts[sclass][long_rrpv] += 1"
         ),
         "fill_counts": True,
@@ -710,7 +711,7 @@ except ValueError:
     },
     "brrip": {
         "setup": _RRIP_SETUP + _BIMODAL_SETUP,
-        "on_hit": "rrpv[slot] = -age[base]",
+        "on_hit": "rrpv[slot] = 0",
         "select_victim": _RRIP_VICTIM,
         "on_fill": _BRRIP_FILL,
         "fill_counts": True,
@@ -718,7 +719,7 @@ except ValueError:
     },
     "drrip": {
         "setup": _RRIP_SETUP + _DUEL_SETUP,
-        "on_hit": "rrpv[slot] = -age[base]",
+        "on_hit": "rrpv[slot] = 0",
         "select_victim": _RRIP_VICTIM,
         "on_fill": _DRRIP_FILL,
         "fill_counts": True,
@@ -726,7 +727,7 @@ except ValueError:
     },
     "gs_drrip": {
         "setup": _RRIP_SETUP + _GS_DRRIP_SETUP,
-        "on_hit": "rrpv[slot] = -age[base]",
+        "on_hit": "rrpv[slot] = 0",
         "select_victim": _RRIP_VICTIM,
         "on_fill": _GS_DRRIP_FILL,
         "fill_counts": True,

@@ -176,7 +176,7 @@ def test_unknown_engine_exits_2(tiny_trace_path, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_engine_fast_rejects_uncovered_policy(tiny_trace_path, capsys):
+def test_engine_fast_runs_gspc_bypass_like_reference(tiny_trace_path, capsys):
     """Every registry name has a kernel, so no --policies value reaches
     the strict engine's refusal: gspc+bypass runs and prints the
     reference engine's table."""
@@ -190,15 +190,27 @@ def test_engine_fast_rejects_uncovered_policy(tiny_trace_path, capsys):
     assert "GSPC+BYPASS" in reference.upper()
 
 
-def test_engine_auto_falls_back_for_uncovered_policy(tiny_trace_path, capsys):
+def test_engine_auto_runs_gspc_bypass_on_the_kernels(
+    tiny_trace_path, tmp_path, capsys
+):
+    """``auto`` finds a kernel for every registry name, gspc+bypass too,
+    and the manifest records the engine it resolved to."""
+    import json
+
+    out = tmp_path / "m"
     assert main(
         [
             "--trace", tiny_trace_path,
             "--policies", "gspc+bypass",
             "--engine", "auto",
+            "--metrics-out", str(out),
         ]
     ) == 0
     assert "GSPC+BYPASS" in capsys.readouterr().out.upper()
+    [name] = os.listdir(out)
+    manifest = json.loads((out / name).read_text())
+    assert manifest["policy"] == "gspc+bypass"
+    assert manifest["engine"] == "fast"
 
 
 def test_engine_fast_matches_reference_table(tiny_trace_path, capsys):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.config import KB, CacheParams, LLCConfig
 from repro.core.gspc import GSPCPolicy
-from repro.core.registry import available_policies
+from repro.core.registry import available_policies, make_policy
+from repro.core.rrip import RRIPPolicy
 from repro.errors import SimulationError
 from repro.fastsim import (
     ENGINES,
@@ -20,7 +21,7 @@ from repro.fastsim.decode import mix_bits_array
 from repro.fastsim.kernels import _SPECS, kernel_for, kernel_source
 from repro.obs.events import SamplingObserver
 from repro.sim.epochs import EpochTracker
-from repro.sim.offline import simulate_trace
+from repro.sim.offline import build_llc, replay, simulate_trace
 from repro.streams import Stream
 from repro.trace import synth
 from repro.trace.record import Trace
@@ -123,6 +124,77 @@ def test_fast_engine_matches_reference_on_rt_tex_pattern():
         fast = simulate_trace(trace, policy, TINY, engine="fast")
         assert _fingerprint(fast) == _fingerprint(reference)
         assert reference.stats.rt_consumed > 0  # the pattern fired at all
+
+
+RRIP_NAMES = tuple(
+    name for name in FAST_POLICIES if isinstance(make_policy(name), RRIPPolicy)
+)
+#: 16 sets of 4 ways: set 1 is a follower of every GSPC-family sampler,
+#: set 0 one of its sample sets.
+SCAN = LLCConfig(params=CacheParams(4 * KB, ways=4), banks=1, sample_period=4)
+SCAN_SETS = (1, 0)
+
+
+def _scan_entries():
+    """Per set, drive the RRIP victim scan down both branches.  Every
+    fill is a write, so each eviction names its victim in the record.
+
+    Four fills, then a Z or RT hit on each, leave every way below the
+    maximal RRPV: the next miss must age the set and evict way 0.  A
+    hit on way 0's new block and on way 1 then leaves ways 2 and 3
+    saturated, and the next miss must evict way 2.  Returns the trace
+    entries and one ``(branch, set, access position, victim block)``
+    per scan.
+    """
+    z, rt = int(Stream.Z), int(Stream.RT)
+    # A display write to an unused set, so ``+ucd`` bypasses one access.
+    entries = [(3, int(Stream.DISPLAY), True)]
+    scans = []
+    for set_index in SCAN_SETS:
+        block = [set_index + tag * SCAN.num_sets for tag in range(6)]
+        entries += [(block[0], z, True), (block[1], rt, True)]
+        entries += [(block[2], z, True), (block[3], rt, True)]
+        entries += [(block[0], z, False), (block[1], rt, False)]
+        entries += [(block[2], z, False), (block[3], rt, False)]
+        scans.append(("ages", set_index, len(entries), block[0]))
+        entries += [(block[4], z, True), (block[4], z, False), (block[1], rt, False)]
+        scans.append(("saturated", set_index, len(entries), block[2]))
+        entries.append((block[5], z, True))
+    return entries, scans
+
+
+@pytest.mark.parametrize("ucd", ("", "+ucd"))
+@pytest.mark.parametrize("policy", RRIP_NAMES)
+def test_rrip_victim_scan_takes_both_branches(policy, ucd):
+    """The first saturated way is evicted when several are, and a set
+    with none ages first; the fast record equals the reference's."""
+    name = policy + ucd
+    entries, scans = _scan_entries()
+    # The reference LLC's RRPVs just before each scan pin the branch.
+    llc = build_llc(name, SCAN)
+    top = llc.policy.max_rrpv
+    branch_at = {index: (branch, set_index) for branch, set_index, index, _ in scans}
+    for index, (block, stream, write) in enumerate(entries):
+        if index in branch_at:
+            branch, set_index = branch_at[index]
+            base = set_index * SCAN.ways
+            rrpvs = llc.policy.rrpv[base:base + SCAN.ways]
+            if branch == "ages":
+                assert max(rrpvs) < top
+            else:
+                assert rrpvs.count(top) >= 2 and rrpvs.index(top) == 2
+        llc.access(block * 64, stream, write)
+
+    trace = _trace_from(entries)
+    reference = replay(trace, name, SCAN, engine="reference")
+    fast = replay(trace, name, SCAN, engine="fast")
+    for record in (reference, fast):
+        assert record.victim_indices.tolist() == [index for _, _, index, _ in scans]
+        assert record.victim_addresses.tolist() == [block * 64 for *_, block in scans]
+    assert np.array_equal(fast.outcomes, reference.outcomes)
+    assert np.array_equal(fast.resident_addresses, reference.resident_addresses)
+    assert _fingerprint(fast.result) == _fingerprint(reference.result)
+    assert fast.result.stats.bypasses == (1 if ucd else 0)
 
 
 def test_fast_result_reports_timing_and_meta():
