@@ -16,9 +16,12 @@ so the gap narrows.
 
 Timing is best-of-``--repeats`` on ``replay_seconds`` (setup excluded;
 both engines share the same vectorized decode costs there).  The
-report's ``metrics`` map holds the fast engine's accesses/sec per
-``workload/policy``; ``check_regression.py`` gates a CI run's
-``BENCH_fastsim_ci.json`` against the committed ``BENCH_fastsim.json``.
+report's ``metrics`` map holds each ``workload/policy`` pair's
+fast-over-reference ``speedup`` (unit ``x``), measured in the same run,
+so the gate compares the code and not the speed of the host it ran on;
+both engines' accesses/sec stay under ``workloads``, ungated.
+``check_regression.py`` gates a CI run's ``BENCH_fastsim_ci.json``
+against the committed ``BENCH_fastsim.json``.
 """
 
 from repro.config import CacheParams, KB, MB, LLCConfig
@@ -88,8 +91,8 @@ def run_bench(repeats: int = 3) -> dict:
         }
     report["metrics"] = {
         f"{name}/{policy}": {
-            "value": row["fast_accesses_per_second"],
-            "unit": "accesses/s",
+            "value": row["speedup"],
+            "unit": "x",
             "better": "higher",
         }
         for name, section in report["workloads"].items()

@@ -6,8 +6,9 @@ Runs the same (trace + sims) job set three times — through a bare
 full :class:`repro.sweep.SweepRunner` stack (per-attempt worker processes,
 journalling with per-record fsync, result-file handoff), and through
 the same sweep stack with run tracing enabled (trace context shipped
-to every worker, span events collected) — and reports orchestration
-and tracing overheads as fractions of the respective baselines::
+to every worker, span events gathered in one ``SpanRecorder``) — and
+reports orchestration and tracing overheads as fractions of the
+respective baselines::
 
     PYTHONPATH=src python benchmarks/bench_sweep.py --out BENCH_sweep_ci.json
 
@@ -75,25 +76,28 @@ def run_bench(
         return time.perf_counter() - started
 
     def time_sweep(round_index: int, traced: bool = False) -> float:
-        from repro.obs.tracing import TraceCollector, TraceContext
+        from repro.obs.spans import SpanRecorder
+        from repro.obs.tracing import TraceContext
 
         label = "traced" if traced else "sweep"
         sweep_dir = os.path.join(base_dir, f"{label}-{round_index}")
         os.makedirs(sweep_dir, exist_ok=True)
         ctx = TraceContext.new_run("bench") if traced else None
-        collector = TraceCollector(ctx) if traced else None
+        spans = SpanRecorder()
+        if traced:
+            spans.enable_events(context=ctx)
         launcher = ProcessLauncher(
             spec, cache_dir, os.path.join(sweep_dir, "tmp"), trace_ctx=ctx
         )
         started = time.perf_counter()
         with Journal(os.path.join(sweep_dir, "journal.jsonl")) as journal:
             outcome = SweepRunner(
-                jobs, launcher, journal, workers=workers, collector=collector
+                jobs, launcher, journal, workers=workers, spans=spans
             ).run()
         elapsed = time.perf_counter() - started
         assert outcome.ok, f"bench sweep failed: {outcome.failures}"
         if traced:
-            assert len(collector) > 0, "traced bench produced no events"
+            assert spans.events_payload(), "traced bench produced no events"
         return elapsed
 
     bare_seconds = [time_bare() for _ in range(repeats)]

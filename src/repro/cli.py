@@ -127,13 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(each policy simulation as its own track)",
     )
     parser.add_argument(
-        "--trace-sample",
-        type=int,
-        default=1,
-        metavar="N",
-        help="keep every N-th span event (default 1 = all)",
-    )
-    parser.add_argument(
         "--metrics-text",
         metavar="FILE",
         help="also dump run metrics in Prometheus text format to FILE",
@@ -185,10 +178,7 @@ def _simulate(
     engine_used = choose_engine(args.engine, policy)
     root = contextlib.nullcontext()
     if args.trace_out:
-        spans.enable_events(
-            context=ctx.child(f"sim:{policy}"),
-            sample_period=args.trace_sample,
-        )
+        spans.enable_events(context=ctx.child(f"sim:{policy}"))
         # Root span = the policy's whole replay, one top-level event.
         root = spans.span("sim")
     with root:
@@ -209,10 +199,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     logger = obs_log.get_logger("cli")
     try:
-        if args.trace_sample < 1:
-            raise ReproError(
-                f"--trace-sample must be >= 1, got {args.trace_sample}"
-            )
         validate_source_spec(args.trace_source)
         # Unknown trace extensions are caller mistakes; fail as usage
         # errors before any simulation work.

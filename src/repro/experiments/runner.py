@@ -33,7 +33,6 @@ from repro.fastsim.dispatch import ENGINE_AUTO, ENGINES
 from repro.obs import log as obs_log
 from repro.obs.manifest import experiment_manifest, write_manifest
 from repro.obs.spans import SpanRecorder
-from repro.obs.tracing import TraceContext
 
 if TYPE_CHECKING:  # repro.sweep is imported lazily: serial runs never need it
     from repro.sweep.spec import SweepJob
@@ -106,13 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write one merged Chrome/Perfetto trace JSON covering every "
         "experiment in this invocation",
-    )
-    parser.add_argument(
-        "--trace-sample",
-        type=int,
-        default=1,
-        metavar="N",
-        help="keep every N-th span event (default 1 = all)",
     )
     parser.add_argument(
         "--log-level",
@@ -195,8 +187,7 @@ def run_plan(
     config: ExperimentConfig,
     workers: int,
     progress: Optional[Callable[[str], None]] = None,
-    trace_ctx: Optional[TraceContext] = None,
-    trace_sample: int = 1,
+    spans: Optional[SpanRecorder] = None,
 ) -> List[JobOutcome]:
     """Run an experiment plan on the sweep engine and seed the caches.
 
@@ -207,6 +198,10 @@ def run_plan(
     jobs' outcomes in plan order, already seeded into the in-process
     caches; a job that failed permanently is left to the serial table
     build, which recomputes it in-process.
+
+    While ``spans`` records events, the workers run under its trace
+    context and the runner adds each attempt's span and the worker's
+    events to it, as ``gspc-sweep`` does.
     """
     from repro.faults import FaultSpec
     from repro.sweep.exec import ProcessLauncher, SweepRunner
@@ -218,18 +213,19 @@ def run_plan(
     def keep(job, result) -> None:
         finished[job] = JobOutcome(
             job, result_value(result.pickled), result.seconds,
-            result.spans or {}, result.events,
+            result.spans or {},
         )
 
+    traced = spans is not None and spans.events_enabled
     with tempfile.TemporaryDirectory(prefix="gspc-experiments-") as tmp:
         launcher = ProcessLauncher(
             config, config.cache_dir, tmp, FaultSpec.from_env(),
-            trace_ctx=trace_ctx, trace_sample=trace_sample,
+            trace_ctx=spans.context if traced else None,
         )
         with Journal(journal_path(tmp)) as journal:
             SweepRunner(
                 plan, launcher, journal, workers=workers, progress=progress,
-                on_result=keep,
+                spans=spans, on_result=keep,
             ).run()
     outcomes = [finished[job] for job in plan if job in finished]
     seed_outcomes(outcomes, config)
@@ -266,7 +262,6 @@ def run_experiments(
     metrics_dir: Optional[str] = None,
     workers: int = 1,
     trace_out: Optional[str] = None,
-    trace_sample: int = 1,
 ) -> int:
     logger = obs_log.get_logger("experiments")
     from repro.obs import tracing
@@ -281,12 +276,8 @@ def run_experiments(
         logger.info("starting %s (%d/%d)", experiment.id, position, total)
         spans = SpanRecorder()
         if trace_out:
-            spans.enable_events(
-                sample_period=trace_sample,
-                context=ctx.child(experiment.id),
-            )
+            spans.enable_events(context=ctx.child(experiment.id))
         started = time.perf_counter()
-        outcomes: List[JobOutcome] = []
         parallel = None
         # try/finally so an experiment that raises cannot leave the
         # recorder with open spans (and skew the others' aggregates).
@@ -302,8 +293,7 @@ def run_experiments(
                 with spans.span("parallel"):
                     outcomes = run_plan(
                         plan, config, workers, progress=_job_progress,
-                        trace_ctx=ctx if trace_out else None,
-                        trace_sample=trace_sample,
+                        spans=spans,
                     )
                 parallel = parallel_section(
                     workers, time.perf_counter() - plan_started, outcomes
@@ -325,10 +315,7 @@ def run_experiments(
                 tables = experiment.run(config)
         finally:
             spans.abandon_open_spans()
-            if trace_out:
-                collected_events.extend(spans.events_payload())
-                for outcome in outcomes:
-                    collected_events.extend(outcome.events)
+            collected_events.extend(spans.events_payload())
         elapsed = time.perf_counter() - started
         for table_index, table in enumerate(tables):
             print()
@@ -421,12 +408,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if problem is not None:
             print(f"error: {problem}", file=sys.stderr)
             return EXIT_USAGE
-    if args.trace_sample < 1:
-        print(
-            f"error: --trace-sample must be >= 1, got {args.trace_sample}",
-            file=sys.stderr,
-        )
-        return 2
     from repro.trace.sources import validate_source_spec
 
     try:
@@ -441,7 +422,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.metrics_out,
         workers=workers,
         trace_out=args.trace_out,
-        trace_sample=args.trace_sample,
     )
 
 

@@ -1,11 +1,13 @@
 """repro.obs — the observability layer of the simulator.
 
-Four small, dependency-free pieces that every execution path shares:
+Small, dependency-free pieces that every execution path shares:
 
 * :mod:`repro.obs.metrics` — counters/gauges/histograms in a
   :class:`~repro.obs.metrics.MetricsRegistry` with plain-dict snapshots.
-* :mod:`repro.obs.spans` — nested ``with span("replay")`` timing blocks
-  aggregating into a per-run phase breakdown.
+* :mod:`repro.obs.spans` — :class:`~repro.obs.spans.SpanRecorder`:
+  nested ``with recorder.span("replay")`` timing blocks aggregating
+  into a per-run phase breakdown, and a run's one bounded buffer of
+  span events.
 * :mod:`repro.obs.events` — :class:`~repro.obs.events.SamplingObserver`,
   which reads a replay record's sampled events into per-stream/per-set
   counts and an event ring.
@@ -15,11 +17,11 @@ Four small, dependency-free pieces that every execution path shares:
   configured from ``--log-level`` / ``$REPRO_LOG_LEVEL``, stamped with
   the active trace context.
 * :mod:`repro.obs.tracing` — the cross-process
-  :class:`~repro.obs.tracing.TraceContext` and the bounded
-  :class:`~repro.obs.tracing.TraceCollector` of span events.
+  :class:`~repro.obs.tracing.TraceContext` and the span-event shape.
 * :mod:`repro.obs.traceexport` — Chrome/Perfetto ``trace_event``
   export, the trace-file validator, and a Prometheus-style text dump.
-* :mod:`repro.obs.report` — the ``gspc-report`` run-report CLI.
+* :mod:`repro.obs.report` — ``gspc-report``, the one reader of run
+  artifacts: manifests (one row per run), journals and trace files.
 """
 
 from repro.obs.events import EventRing, SamplingObserver
@@ -41,11 +43,9 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    default_registry,
 )
-from repro.obs.spans import SpanRecorder, default_recorder, span
+from repro.obs.spans import SpanRecorder
 from repro.obs.tracing import (
-    TraceCollector,
     TraceContext,
     activate,
     current,
@@ -64,10 +64,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "default_registry",
     "SpanRecorder",
-    "default_recorder",
-    "span",
     "EventRing",
     "SamplingObserver",
     "configure_logging",
@@ -81,7 +78,6 @@ __all__ = [
     "load_manifest",
     "validate_manifest",
     "check_manifest",
-    "TraceCollector",
     "TraceContext",
     "activate",
     "current",

@@ -4,9 +4,9 @@ Every simulation entry point can emit one JSON *manifest* describing
 what ran and what happened: configuration, policy, trace metadata,
 metric snapshots, the setup/replay phase-timing split, and a sampled
 event-trace summary.  Manifests make the repo's performance trajectory
-data instead of stdout — ``benchmarks/manifest_report.py`` consumes
-them, and CI validates a freshly emitted one against the schema on
-every push (``python -m repro.obs.manifest out/*.json``).
+data instead of stdout — ``gspc-report`` (:mod:`repro.obs.report`)
+tabulates them one row per run, and CI validates a freshly emitted one
+against the schema on every push (``python -m repro.obs out/*.json``).
 
 Six manifest kinds share one envelope (``schema_version``, ``kind``,
 ``created_unix``, ``config``, ``phases``):

@@ -190,12 +190,3 @@ class MetricsRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
-
-
-#: Process-wide default registry (library code may share it; runs that
-#: need isolation construct their own).
-_DEFAULT = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    return _DEFAULT

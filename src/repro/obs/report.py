@@ -3,7 +3,9 @@
 Merges the three artifact kinds a run leaves behind — JSON manifests
 (:mod:`repro.obs.manifest`), sweep journals (:mod:`repro.sweep.journal`)
 and Chrome trace files (:mod:`repro.obs.traceexport`) — into one
-terminal report: per-phase wall-time breakdown (count/total/mean/max),
+terminal report: per-run results (accesses, misses, hit rate, setup
+and replay seconds, accesses/s; one row per sweep sim job plus a sweep
+summary row), per-phase wall-time breakdown (count/total/mean/max),
 per-policy throughput, worker utilization per pid, and the retry
 timeline of a fault-tolerant sweep.
 
@@ -169,6 +171,78 @@ def _overview(data: RunData) -> Table:
             "journal",
             f"{len(records)} attempt record(s), {oks} ok",
         )
+    return table
+
+
+def _sig4(value: object) -> object:
+    """Floats to four significant digits; other cells unchanged."""
+    return f"{value:.4g}" if isinstance(value, float) else value
+
+
+def _run_rows(manifest: Mapping[str, object]) -> List[List[object]]:
+    """``[kind, run, accesses, misses, hit rate, setup s, replay s,
+    accesses/s]`` for one manifest: one row per run, or for a sweep one
+    row per sim job and then a whole-sweep summary row."""
+    kind = str(manifest.get("kind", "?"))
+    metrics = manifest.get("metrics") or {}
+    phases = manifest.get("phases") or {}
+    setup = phases.get("setup_seconds")
+    rows: List[List[object]] = []
+    if kind == "sweep":
+        for job_id in sorted(metrics):
+            payload = metrics[job_id] or {}
+            job_metrics = payload.get("metrics") or {}
+            rows.append([kind, job_id, payload.get("accesses"),
+                         job_metrics.get("misses"),
+                         job_metrics.get("hit_rate"), None, None, None])
+        sweep = manifest.get("sweep") or {}
+        run = (
+            f"{sweep.get('name', '?')} "
+            f"[{sweep.get('completed', 0)}/{sweep.get('total_jobs', 0)} ok, "
+            f"{sweep.get('failed', 0)} failed]"
+        )
+        # The summary totals the jobs over the sweep's wall time, which
+        # a sweep manifest keeps as its replay seconds.
+        accesses, misses = (
+            sum(int(row[column]) for row in rows
+                if isinstance(row[column], (int, float))) or None
+            for column in (2, 3)
+        )
+        hit_rate = setup = None
+    elif kind == "experiment":
+        run = (manifest.get("experiment") or {}).get("id", "?")
+        accesses = misses = hit_rate = None
+    else:
+        trace_meta = manifest.get("trace") or {}
+        run = f"{trace_meta.get('name', '?')}/{manifest.get('policy', '?')}"
+        accesses = metrics.get("accesses")
+        misses = metrics.get("misses")
+        hit_rate = metrics.get("hit_rate")
+    replay = float(phases.get("replay_seconds", 0.0) or 0.0)
+    rows.append([
+        kind,
+        run,
+        accesses,
+        misses,
+        hit_rate,
+        setup,
+        phases.get("replay_seconds"),
+        accesses / replay if accesses and replay > 0 else None,
+    ])
+    return rows
+
+
+def _runs(data: RunData) -> Optional[Table]:
+    if not data.manifests:
+        return None
+    table = Table(
+        "Per-run results",
+        ["Source", "Kind", "Run", "Accesses", "Misses", "Hit rate",
+         "Setup s", "Replay s", "Accesses/s"],
+    )
+    for path, manifest in data.manifests:
+        for row in _run_rows(manifest):
+            table.add_row(os.path.basename(path), *map(_sig4, row))
     return table
 
 
@@ -362,6 +436,7 @@ def _retry_timeline(data: RunData) -> Optional[Table]:
 def render_report(data: RunData) -> str:
     sections = [_overview(data)]
     for section in (
+        _runs(data),
         _phase_breakdown(data),
         _throughput(data),
         _utilization(data),

@@ -1,11 +1,11 @@
-"""Timing spans: nested ``with span("replay")`` blocks that aggregate
-into a per-run phase breakdown.
+"""Timing spans: nested ``with recorder.span("replay")`` blocks that
+aggregate into a per-run phase breakdown, and the run's span events.
 
 A :class:`SpanRecorder` keeps a stack of open spans and an aggregate
 table keyed by the span *path* (``("run", "replay")``), so repeated
-entries into the same phase accumulate rather than multiply.  The
-resulting tree — trace generation vs. future precompute vs. replay vs.
-timing model — goes into the run manifest's ``phases`` section.
+entries into the same phase accumulate rather than multiply.  The flat
+table — trace generation vs. future precompute vs. replay vs. timing
+model — goes into the run manifest's ``phases`` section.
 
     recorder = SpanRecorder()
     with recorder.span("run"):
@@ -13,20 +13,19 @@ timing model — goes into the run manifest's ``phases`` section.
             ...
         with recorder.span("replay"):
             ...
-    recorder.to_dict()
-    # {"run": {"count": 1, "seconds": ..., "max_seconds": ...,
-    #          "children": {"setup": ...}}}
+    recorder.flat()
+    # {"run": {"count": 1, "seconds": ..., "max_seconds": ...},
+    #  "run/replay": {...}, "run/setup": {...}}
 
-Beyond the aggregate table the recorder can record **individual timed
-events** for distributed tracing (:func:`enable_events`): every
-completed span becomes one bounded, optionally sampled event dict
-(wall-clock start, duration, pid, trace context — see
-:mod:`repro.obs.tracing`) ready for the Chrome/Perfetto exporter in
-:mod:`repro.obs.traceexport`.  Event recording is off by default and
-costs nothing when off.
-
-The module-level :func:`span` uses a process-wide default recorder for
-quick scripts; library entry points take an explicit recorder argument.
+A recorder is also a run's one buffer of **span events** for
+distributed tracing (:meth:`SpanRecorder.enable_events`): every
+completed span becomes one event dict (wall-clock start, duration, pid,
+trace context — see :mod:`repro.obs.tracing`), and
+:meth:`SpanRecorder.add_events` merges events recorded elsewhere (a
+sweep attempt's orchestrator span, the events its worker process
+shipped back) under the same :data:`MAX_EVENTS` bound.  The buffer
+feeds the Chrome/Perfetto exporter in :mod:`repro.obs.traceexport`.
+Event recording is off by default and costs nothing when off.
 """
 
 from __future__ import annotations
@@ -35,15 +34,16 @@ import dataclasses
 import os
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs.tracing import TraceContext
 
 SpanPath = Tuple[str, ...]
 
-#: Default cap on buffered span events per recorder.
-DEFAULT_MAX_EVENTS = 50_000
+#: Cap on buffered span events per recorder; past it, events are
+#: counted in :attr:`SpanRecorder.dropped_events`, never stored.
+MAX_EVENTS = 50_000
 
 
 @dataclasses.dataclass
@@ -62,10 +62,6 @@ class SpanRecorder:
         self,
         clock: Callable[[], float] = time.perf_counter,
         *,
-        record_events: bool = False,
-        max_events: int = DEFAULT_MAX_EVENTS,
-        sample_period: int = 1,
-        context: Optional[TraceContext] = None,
         wall: Callable[[], float] = time.time,
     ) -> None:
         self._clock = clock
@@ -74,58 +70,22 @@ class SpanRecorder:
         #: path -> [entry count, total seconds, max seconds]
         self._aggregate: Dict[SpanPath, List[float]] = {}
         self._events: Optional[List[Dict[str, object]]] = None
-        self._max_events = max_events
-        self._sample_period = 1
-        self._sample_counter = 0
-        self._context = context
+        self._context: Optional[TraceContext] = None
         self.dropped_events = 0
-        if record_events:
-            self.enable_events(
-                max_events=max_events,
-                sample_period=sample_period,
-                context=context,
-            )
 
     # -- event recording ------------------------------------------------------
 
-    def enable_events(
-        self,
-        max_events: int = DEFAULT_MAX_EVENTS,
-        sample_period: int = 1,
-        context: Optional[TraceContext] = None,
-    ) -> None:
-        """Start recording one event per completed span.
-
-        ``sample_period=N`` keeps every N-th completed span (the first
-        one always recorded), ``max_events`` bounds the buffer — past
-        it, events are counted in :attr:`dropped_events`, never stored.
-        Re-enabling on a live recorder (e.g. the process default) just
-        updates the knobs.
-        """
-        if max_events < 1:
-            raise ObservabilityError(
-                f"max_events must be >= 1, got {max_events}"
-            )
-        if sample_period < 1:
-            raise ObservabilityError(
-                f"sample_period must be >= 1, got {sample_period}"
-            )
+    def enable_events(self, context: Optional[TraceContext] = None) -> None:
+        """Start recording one event per completed span, stamped with
+        ``context`` when one is given."""
         if self._events is None:
             self._events = []
             # Anchor the monotonic span clock to the wall clock once, so
             # events from different processes merge onto one timeline.
             self._anchor_wall = self._wall()
             self._anchor_perf = self._clock()
-        self._max_events = max_events
-        self._sample_period = sample_period
         if context is not None:
             self._context = context
-
-    def disable_events(self) -> None:
-        """Stop (and forget) event recording; aggregates are kept."""
-        self._events = None
-        self._sample_counter = 0
-        self.dropped_events = 0
 
     @property
     def events_enabled(self) -> bool:
@@ -144,6 +104,23 @@ class SpanRecorder:
         JSON- and pickle-safe for shipping across process boundaries.
         """
         return [dict(event) for event in (self._events or [])]
+
+    def add_events(self, events: Iterable[Mapping[str, object]]) -> None:
+        """Merge span events recorded elsewhere (a worker's shipped
+        events, an orchestrator span built with
+        :func:`~repro.obs.tracing.make_event`) into the buffer, under
+        the same bound; a no-op while event recording is off."""
+        if self._events is not None:
+            for event in events:
+                self._append(dict(event))
+
+    def _append(self, event: Dict[str, object]) -> None:
+        """Buffer one event while recording, or count it once the
+        buffer holds :data:`MAX_EVENTS`."""
+        if len(self._events) < MAX_EVENTS:
+            self._events.append(event)
+        else:
+            self.dropped_events += 1
 
     # -- span lifecycle -------------------------------------------------------
 
@@ -185,12 +162,6 @@ class SpanRecorder:
             entry[2] = elapsed
         if self._events is None:
             return
-        self._sample_counter += 1
-        if (self._sample_counter - 1) % self._sample_period:
-            return
-        if len(self._events) >= self._max_events:
-            self.dropped_events += 1
-            return
         event: Dict[str, object] = {
             "name": frame.name,
             "path": "/".join(frame.path),
@@ -200,17 +171,16 @@ class SpanRecorder:
         }
         if self._context is not None:
             event["ctx"] = self._context.to_dict()
-        self._events.append(event)
+        self._append(event)
 
     def abandon_open_spans(self) -> int:
         """Force-close every open span (top-of-stack first).
 
         Exception paths that bail out of a run without unwinding a
         ``with`` block (a manual ``__enter__``, a killed generator)
-        would otherwise leave the recorder with open spans — and a
-        later :meth:`reset` raising :class:`ObservabilityError`.  CLIs
-        call this in their top-level ``finally``.  Returns the number
-        of spans that had to be closed (0 on a clean run).
+        would otherwise leave spans open, missing from the aggregates
+        and the event buffer.  Returns the number of spans that had to
+        be closed (0 on a clean run).
         """
         closed = 0
         while self._stack:
@@ -219,24 +189,6 @@ class SpanRecorder:
         return closed
 
     # -- views ----------------------------------------------------------------
-
-    @property
-    def depth(self) -> int:
-        """Nesting depth of currently open spans."""
-        return len(self._stack)
-
-    def seconds(self, *path: str) -> float:
-        """Total seconds accumulated by the span at ``path`` (0 if never
-        entered)."""
-        return self._aggregate.get(tuple(path), (0, 0.0, 0.0))[1]
-
-    def count(self, *path: str) -> int:
-        return int(self._aggregate.get(tuple(path), (0, 0.0, 0.0))[0])
-
-    def max_seconds(self, *path: str) -> float:
-        """Longest single entry of the span at ``path`` (0 if never
-        entered)."""
-        return self._aggregate.get(tuple(path), (0, 0.0, 0.0))[2]
 
     def flat(self) -> Dict[str, Dict[str, float]]:
         """``{"run/replay": {"count": n, "seconds": s, "max_seconds": m}}``
@@ -249,49 +201,3 @@ class SpanRecorder:
             }
             for path, entry in sorted(self._aggregate.items())
         }
-
-    def to_dict(self) -> Dict[str, Dict]:
-        """Nested phase tree (children keyed under ``"children"``)."""
-        root: Dict[str, Dict] = {}
-        for path, entry in sorted(self._aggregate.items()):
-            level = root
-            for name in path[:-1]:
-                level = level.setdefault(
-                    name,
-                    {"count": 0, "seconds": 0.0, "max_seconds": 0.0,
-                     "children": {}},
-                )["children"]
-            node = level.setdefault(
-                path[-1],
-                {"count": 0, "seconds": 0.0, "max_seconds": 0.0,
-                 "children": {}},
-            )
-            node["count"] += entry[0]
-            node["seconds"] += entry[1]
-            node["max_seconds"] = max(node["max_seconds"], entry[2])
-        return root
-
-    def reset(self) -> None:
-        if self._stack:
-            raise ObservabilityError(
-                "cannot reset with open spans: "
-                + "/".join(frame.name for frame in self._stack)
-            )
-        self._aggregate.clear()
-        if self._events is not None:
-            self._events = []
-        self._sample_counter = 0
-        self.dropped_events = 0
-
-
-#: Process-wide default recorder backing the module-level :func:`span`.
-_DEFAULT = SpanRecorder()
-
-
-def default_recorder() -> SpanRecorder:
-    return _DEFAULT
-
-
-def span(name: str) -> Iterator[None]:
-    """``with span("replay"):`` against the default recorder."""
-    return _DEFAULT.span(name)

@@ -1,13 +1,13 @@
 """Trace exporters: Chrome/Perfetto ``trace_event`` JSON and a
 Prometheus-style text metrics dump.
 
-:func:`build_chrome_trace` turns the plain span-event dicts produced by
-:class:`~repro.obs.spans.SpanRecorder` and
-:class:`~repro.obs.tracing.TraceCollector` — possibly gathered from
-many processes — into one Chrome ``trace_event`` JSON object that loads
-directly in ``chrome://tracing`` and https://ui.perfetto.dev: one track
-per pid, complete (``"ph": "X"``) events, trace context surfaced in
-each event's ``args`` and the run id in top-level ``metadata``.
+:func:`build_chrome_trace` turns the plain span-event dicts a
+:class:`~repro.obs.spans.SpanRecorder` buffered — possibly gathered
+from many processes — into one Chrome ``trace_event`` JSON object that
+loads directly in ``chrome://tracing`` and https://ui.perfetto.dev:
+one track per pid, complete (``"ph": "X"``) events, trace context
+surfaced in each event's ``args`` and the run id in top-level
+``metadata``.
 
 :func:`validate_trace` schema-checks such a file (CI runs it through
 ``python -m repro.obs FILE``, which sniffs trace files vs. manifests),

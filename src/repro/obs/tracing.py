@@ -1,4 +1,4 @@
-"""Cross-process trace context and event collection.
+"""Cross-process trace context and the span-event shape.
 
 A :class:`TraceContext` identifies one *run* (a CLI invocation) and,
 inside a run, one *job attempt*.  It is created once at a CLI entry
@@ -17,10 +17,9 @@ The pieces:
 * :func:`activate` / :func:`current` / :func:`deactivate` — the
   process-wide current context (what :mod:`repro.obs.log` stamps onto
   log records).
-* :class:`TraceCollector` — a bounded in-memory sink an orchestrator
-  feeds with span events from many processes (its own scheduling spans
-  plus whatever workers shipped back), ready for
-  :func:`repro.obs.traceexport.build_chrome_trace`.
+* :func:`make_event` — one span event built outside a recorder (an
+  orchestrator's per-attempt span), for
+  :meth:`repro.obs.spans.SpanRecorder.add_events`.
 
 Span *events* everywhere in this package are plain dicts::
 
@@ -34,14 +33,10 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
 import uuid
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.errors import ObservabilityError
-
-#: Default cap on events a collector keeps in memory.
-DEFAULT_MAX_EVENTS = 200_000
 
 #: Keys of the serialized context dict (empty values are dropped).
 CONTEXT_KEYS = ("run_id", "job_id", "attempt", "parent_span_id")
@@ -133,11 +128,7 @@ def deactivate() -> None:
     _CURRENT = None
 
 
-# -- event collection ---------------------------------------------------------
-
-#: Keys a span event must carry to be mergeable/exportable.
-EVENT_KEYS = ("name", "path", "ts", "dur", "pid")
-
+# -- span events --------------------------------------------------------------
 
 def make_event(
     name: str,
@@ -163,85 +154,11 @@ def make_event(
     return event
 
 
-class TraceCollector:
-    """Bounded in-memory sink for span events from many processes.
-
-    The orchestrator owns one collector per run: its own scheduling
-    spans go in through :meth:`add_span`, and whatever each worker
-    shipped back goes in through :meth:`extend`.  The buffer is bounded
-    (events past ``max_events`` are counted as dropped, never stored),
-    so a pathological run cannot exhaust memory.
-    """
-
-    def __init__(
-        self,
-        context: TraceContext,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ) -> None:
-        if max_events < 1:
-            raise ObservabilityError(
-                f"collector max_events must be >= 1, got {max_events}"
-            )
-        self.context = context
-        self.max_events = max_events
-        self.events: List[Dict[str, object]] = []
-        self.dropped = 0
-
-    def add(self, event: Mapping[str, object]) -> None:
-        if len(self.events) >= self.max_events:
-            self.dropped += 1
-            return
-        self.events.append(dict(event))
-
-    def extend(self, events: Optional[Iterable[Mapping[str, object]]]) -> None:
-        for event in events or ():
-            self.add(event)
-
-    def add_span(
-        self,
-        name: str,
-        start_unix: float,
-        duration: float,
-        pid: Optional[int] = None,
-        path: Optional[str] = None,
-        ctx: Optional[TraceContext] = None,
-        args: Optional[Mapping[str, object]] = None,
-    ) -> None:
-        """Record one orchestrator-side span (wall-clock timed)."""
-        self.add(
-            make_event(
-                name,
-                start_unix,
-                duration,
-                pid=pid,
-                path=path,
-                ctx=(ctx or self.context).to_dict(),
-                args=args,
-            )
-        )
-
-    def pids(self) -> List[int]:
-        """Distinct process ids seen so far, sorted."""
-        return sorted({int(event.get("pid", 0)) for event in self.events})
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-def now_unix() -> float:
-    """Wall-clock seconds (one indirection point for tests)."""
-    return time.time()
-
-
 __all__ = [
     "CONTEXT_KEYS",
-    "DEFAULT_MAX_EVENTS",
-    "EVENT_KEYS",
-    "TraceCollector",
     "TraceContext",
     "activate",
     "current",
     "deactivate",
     "make_event",
-    "now_unix",
 ]

@@ -36,7 +36,7 @@ from typing import Callable, Dict, Optional
 
 from repro.errors import ReproError, ServeError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import TraceCollector, TraceContext
+from repro.obs.tracing import TraceContext
 from repro.serve.store import ResultStore, code_version, result_key
 from repro.sweep.exec import ProcessLauncher, RetryPolicy, SweepRunner
 from repro.sweep.journal import Journal, journal_path, replay
@@ -172,7 +172,6 @@ class SimulationService:
         self.pool_size = pool_size
         self.sweep_workers = sweep_workers
         self.ctx = ctx or TraceContext.new_run("gspc-serve")
-        self.collector = TraceCollector(self.ctx)
         self._compute = compute or self._compute_sweep
         self._executor = ThreadPoolExecutor(
             max_workers=pool_size, thread_name_prefix="gspc-serve-pool"
@@ -191,7 +190,6 @@ class SimulationService:
         self.latency = self.registry.histogram("serve.request_seconds")
         self.started_unix = time.time()
         self.stop_event = asyncio.Event()
-        self._request_serial = 0
 
     # -- request-facing operations -------------------------------------------
 
@@ -267,17 +265,9 @@ class SimulationService:
         }
 
     def observe_request(self, route: str, seconds: float) -> None:
-        """Per-request telemetry: counter, latency, one request span."""
+        """Per-request telemetry: the request counter and latency."""
         self.requests.inc()
         self.latency.observe(seconds)
-        self._request_serial += 1
-        self.collector.add_span(
-            route,
-            time.time() - seconds,
-            seconds,
-            path=f"http/{route}",
-            ctx=self.ctx.child(f"req-{self._request_serial}"),
-        )
 
     # -- computation ----------------------------------------------------------
 
@@ -329,14 +319,6 @@ class SimulationService:
             entry.status = "done"
             self.computed.inc()
         entry.seconds = time.perf_counter() - started
-        self.collector.add_span(
-            "compute",
-            time.time() - entry.seconds,
-            entry.seconds,
-            path="compute" if entry.status == "done" else "compute/failed",
-            ctx=self.ctx.child(entry.key[:16]),
-            args={"key": entry.key, "status": entry.status},
-        )
         self._inflight.pop(entry.key, None)
         self._settled[entry.key] = entry
 

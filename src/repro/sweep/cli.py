@@ -34,8 +34,8 @@ from repro.faults import FAULT_ENV, FaultSpec
 from repro.fastsim.dispatch import ENGINE_AUTO, ENGINES
 from repro.obs import log as obs_log
 from repro.obs import tracing
-from repro.obs.spans import default_recorder
-from repro.obs.tracing import TraceCollector, TraceContext
+from repro.obs.spans import SpanRecorder
+from repro.obs.tracing import TraceContext
 from repro.obs.traceexport import build_chrome_trace, write_trace_file
 from repro.sweep.exec import ProcessLauncher, RetryPolicy, SweepRunner, resolve_jobs
 from repro.sweep.journal import Journal, journal_path, replay
@@ -168,13 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(orchestrator + every worker attempt as separate tracks)",
     )
     parser.add_argument(
-        "--trace-sample",
-        type=int,
-        default=1,
-        metavar="N",
-        help="keep every N-th span event per worker (default 1 = all)",
-    )
-    parser.add_argument(
         "--metrics-text",
         metavar="FILE",
         help="also dump run metrics in Prometheus text format to FILE",
@@ -259,10 +252,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise SweepError(
                 f"--timeout must be > 0, got {args.timeout}"
             )
-        if args.trace_sample < 1:
-            raise SweepError(
-                f"--trace-sample must be >= 1, got {args.trace_sample}"
-            )
         fault = (
             FaultSpec.parse(args.inject_fault)
             if args.inject_fault
@@ -277,16 +266,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     # stamps every log line with the run id for free.
     ctx = tracing.activate(TraceContext.new_run("gspc-sweep"))
     tracing_on = args.trace_out is not None
-    recorder = default_recorder()
-    collector = None
+    recorder = SpanRecorder()
     if tracing_on:
-        # disable first: a previous in-process invocation (tests, REPL)
-        # may have left a buffer behind on the shared default recorder.
-        recorder.disable_events()
-        recorder.enable_events(
-            sample_period=args.trace_sample, context=ctx
-        )
-        collector = TraceCollector(ctx)
+        recorder.enable_events(context=ctx)
     logger.info("run %s starting", ctx.run_id)
 
     problem = ensure_directory(sweep_dir, "--resume" if resuming else "--out")
@@ -301,89 +283,79 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return EXIT_USAGE
 
-    # Top-level spans are wrapped in try/finally: an exception anywhere
-    # below must not leave open spans on the process-wide recorder (a
-    # later reset() would raise — the span-leak bug this fixes).
-    try:
-        with recorder.span("sweep"):
-            with recorder.span("plan"):
-                jobs = expand(spec)
-                save_spec(spec, spec_path(sweep_dir))
-                state = replay(journal_path(sweep_dir))
-            cache_dir = None if args.no_cache else args.cache_dir
-            if fault is not None:
-                print(f"fault injection armed: {fault.describe()}")
-                logger.warning("fault injection armed: %s", fault.describe())
+    with recorder.span("sweep"):
+        with recorder.span("plan"):
+            jobs = expand(spec)
+            save_spec(spec, spec_path(sweep_dir))
+            state = replay(journal_path(sweep_dir))
+        cache_dir = None if args.no_cache else args.cache_dir
+        if fault is not None:
+            print(f"fault injection armed: {fault.describe()}")
+            logger.warning("fault injection armed: %s", fault.describe())
 
+        print(
+            f"sweep {spec.name!r}: {len(jobs)} jobs "
+            f"({sum(1 for j in jobs if j.kind == 'sim')} sims over "
+            f"{len(spec.policies)} policies x {len(spec.llc_mb)} "
+            f"geometries), {workers} worker(s)"
+        )
+        if tracing_on:
+            print(f"tracing run {ctx.run_id} -> {args.trace_out}")
+        if resuming:
             print(
-                f"sweep {spec.name!r}: {len(jobs)} jobs "
-                f"({sum(1 for j in jobs if j.kind == 'sim')} sims over "
-                f"{len(spec.policies)} policies x {len(spec.llc_mb)} "
-                f"geometries), {workers} worker(s)"
-            )
-            if tracing_on:
-                print(f"tracing run {ctx.run_id} -> {args.trace_out}")
-            if resuming:
-                print(
-                    f"resume: {len(state.completed)} of {len(jobs)} jobs "
-                    f"already journalled"
-                    + (
-                        f", {state.rejected_lines} corrupt journal line(s) "
-                        "rejected"
-                        if state.rejected_lines
-                        else ""
-                    )
+                f"resume: {len(state.completed)} of {len(jobs)} jobs "
+                f"already journalled"
+                + (
+                    f", {state.rejected_lines} corrupt journal line(s) "
+                    "rejected"
+                    if state.rejected_lines
+                    else ""
                 )
-
-            launcher = ProcessLauncher(
-                spec,
-                cache_dir,
-                os.path.join(sweep_dir, TMP_DIRNAME),
-                fault,
-                trace_ctx=ctx if tracing_on else None,
-                trace_sample=args.trace_sample,
             )
-            with recorder.span("run"):
-                with Journal(journal_path(sweep_dir)) as journal:
-                    runner = SweepRunner(
-                        jobs,
-                        launcher,
-                        journal,
-                        workers=workers,
-                        timeout=args.timeout,
-                        retry=retry,
-                        progress=print,
-                        collector=collector,
-                    )
-                    outcome = runner.run(state)
 
-            with recorder.span("reports"):
-                paths = write_reports(
-                    sweep_dir,
-                    spec,
+        launcher = ProcessLauncher(
+            spec,
+            cache_dir,
+            os.path.join(sweep_dir, TMP_DIRNAME),
+            fault,
+            trace_ctx=ctx if tracing_on else None,
+        )
+        with recorder.span("run"):
+            with Journal(journal_path(sweep_dir)) as journal:
+                runner = SweepRunner(
                     jobs,
-                    outcome,
+                    launcher,
+                    journal,
                     workers=workers,
                     timeout=args.timeout,
                     retry=retry,
-                    rejected_journal_lines=state.rejected_lines,
+                    progress=print,
+                    spans=recorder,
                 )
-        for label, path in sorted(paths.items()):
-            print(f"wrote {label}: {path}")
-    finally:
-        leaked = recorder.abandon_open_spans()
-        if leaked:
-            logger.debug("closed %d leaked span(s) on exit", leaked)
+                outcome = runner.run(state)
 
+        with recorder.span("reports"):
+            paths = write_reports(
+                sweep_dir,
+                spec,
+                jobs,
+                outcome,
+                workers=workers,
+                timeout=args.timeout,
+                retry=retry,
+                rejected_journal_lines=state.rejected_lines,
+            )
+    for label, path in sorted(paths.items()):
+        print(f"wrote {label}: {path}")
     if tracing_on:
-        events = recorder.events_payload() + collector.events
+        events = recorder.events_payload()
         trace = build_chrome_trace(
             events,
             ctx.run_id,
             process_names={os.getpid(): "gspc-sweep orchestrator"},
             extra_metadata={
                 "sweep": spec.name,
-                "dropped_events": recorder.dropped_events + collector.dropped,
+                "dropped_events": recorder.dropped_events,
             },
         )
         write_trace_file(trace, args.trace_out)

@@ -40,7 +40,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import ParallelError, SweepError
 from repro.experiments.common import ExperimentConfig
 from repro.faults import FaultSpec
-from repro.obs.tracing import TraceCollector, TraceContext
+from repro.obs.spans import SpanRecorder
+from repro.obs.tracing import TraceContext, make_event
 from repro.sweep.journal import Journal, JournalState, RECORD_VERSION
 from repro.sweep.spec import SweepJob, SweepSpec
 from repro.sweep.worker import (
@@ -169,14 +170,12 @@ class ProcessLauncher:
         tmp_dir: str,
         fault: Optional[FaultSpec] = None,
         trace_ctx: Optional[TraceContext] = None,
-        trace_sample: int = 1,
     ):
         self.spec = spec
         self.cache_dir = cache_dir
         self.tmp_dir = tmp_dir
         self.fault = fault
         self.trace_ctx = trace_ctx
-        self.trace_sample = trace_sample
 
     def start(self, job: SweepJob, index: int, attempt: int) -> _ProcessHandle:
         inject = None
@@ -198,8 +197,7 @@ class ProcessLauncher:
             else None
         )
         payload = job_payload(
-            job, self.spec, self.cache_dir, inject, hang_seconds, child_ctx,
-            self.trace_sample,
+            job, self.spec, self.cache_dir, inject, hang_seconds, child_ctx
         )
         process = multiprocessing.Process(
             target=run_job_in_worker, args=(payload, out_path), daemon=True
@@ -288,7 +286,7 @@ class SweepRunner:
         sleep: Callable[[float], None] = time.sleep,
         poll_interval: float = POLL_INTERVAL,
         progress: Optional[Callable[[str], None]] = None,
-        collector: Optional[TraceCollector] = None,
+        spans: Optional[SpanRecorder] = None,
         wall: Callable[[], float] = time.time,
         on_result: Optional[Callable[[SweepJob, AttemptResult], None]] = None,
     ):
@@ -306,10 +304,10 @@ class SweepRunner:
         self.sleep = sleep
         self.poll_interval = poll_interval
         self.progress = progress
-        #: Optional sink for the run's merged span-event timeline: one
-        #: orchestrator-side span per attempt, plus whatever events each
-        #: worker shipped back in its result envelope.
-        self.collector = collector
+        #: The caller's recorder: while it records events, each attempt
+        #: adds one orchestrator-side span to it, plus whatever events
+        #: the worker shipped back in its result envelope.
+        self.spans = spans
         self.wall = wall
         #: Called with every successful attempt once it is journalled;
         #: the only way to its envelope's telemetry and result object.
@@ -320,24 +318,26 @@ class SweepRunner:
             self.progress(message)
 
     def _trace_attempt(self, entry: "_Running", result: AttemptResult) -> None:
-        """Feed the run's trace collector with one finished attempt.
+        """Add one finished attempt to the caller's span events.
 
         Records an orchestrator-side span covering the attempt's wall
         time (path ``attempt`` on success, ``attempt/<kind>`` on
-        failure) and merges in whatever events the worker shipped back.
+        failure), stamped with the recorder's context narrowed to the
+        job and attempt, then the events the worker shipped back.
         """
-        if self.collector is None:
+        if self.spans is None or not self.spans.events_enabled:
             return
         job_id = entry.job.job_id
-        self.collector.add_span(
+        ctx = self.spans.context
+        attempt_span = make_event(
             job_id,
             entry.started_unix,
-            max(0.0, self.wall() - entry.started_unix),
+            self.wall() - entry.started_unix,
             path="attempt" if result.ok else f"attempt/{result.kind}",
-            ctx=self.collector.context.child(job_id, entry.attempt),
+            ctx=ctx.child(job_id, entry.attempt).to_dict() if ctx else None,
             args={"attempt": entry.attempt, "ok": result.ok},
         )
-        self.collector.extend(result.events)
+        self.spans.add_events([attempt_span, *result.events])
 
     def run(self, resume: Optional[JournalState] = None) -> SweepOutcome:
         started = self.clock()

@@ -67,7 +67,6 @@ def execute_job(
     job: SweepJob,
     config: ExperimentConfig,
     trace_ctx: Optional[TraceContext] = None,
-    trace_sample: int = 1,
 ) -> JobOutcome:
     """Run one job to completion under ``config`` (whose ``llc_mb`` is
     the job's).
@@ -78,14 +77,13 @@ def execute_job(
     so the worker's busy time has one top-level event) comes back in
     :attr:`JobOutcome.events`, stamped with that context — the raw
     material of the run's merged Chrome/Perfetto timeline.
-    ``trace_sample`` keeps every N-th completed span (overhead knob).
     """
     spans = SpanRecorder()
     if trace_ctx is not None:
         from repro.obs import tracing
 
         tracing.activate(trace_ctx)
-        spans.enable_events(context=trace_ctx, sample_period=trace_sample)
+        spans.enable_events(context=trace_ctx)
     started = time.perf_counter()
     spec = frame_spec_for(job.app, job.frame_index, config)
     with spans.span(job.kind):
@@ -124,7 +122,6 @@ def job_payload(
     inject: Optional[str] = None,
     hang_seconds: float = 300.0,
     trace_ctx: Optional[Dict[str, object]] = None,
-    trace_sample: int = 1,
 ) -> Dict[str, object]:
     """The picklable description of one attempt.
 
@@ -150,7 +147,6 @@ def job_payload(
         "inject": inject,
         "hang_seconds": hang_seconds,
         "trace_ctx": trace_ctx,
-        "trace_sample": trace_sample,
     }
 
 
@@ -196,12 +192,7 @@ def run_job_in_worker(payload: Dict[str, object], out_path: str) -> None:
         source=str(payload.get("source", "synthetic")),
     )
     trace_ctx = TraceContext.from_dict(payload.get("trace_ctx"))  # type: ignore[arg-type]
-    outcome = execute_job(
-        job,
-        config,
-        trace_ctx=trace_ctx,
-        trace_sample=int(payload.get("trace_sample", 1) or 1),  # type: ignore[arg-type]
-    )
+    outcome = execute_job(job, config, trace_ctx=trace_ctx)
     result: Dict[str, object] = {
         "job": payload["job"],
         "kind": payload["kind"],

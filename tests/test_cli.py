@@ -287,13 +287,6 @@ def test_trace_out_writes_valid_chrome_trace(tiny_trace_path, tmp_path):
     }
 
 
-def test_trace_sample_must_be_positive(tiny_trace_path, capsys):
-    assert main(
-        ["--trace", tiny_trace_path, "--trace-sample", "0"]
-    ) == 2
-    assert "--trace-sample must be >= 1" in capsys.readouterr().err
-
-
 def test_metrics_text_dump(tiny_trace_path, tmp_path):
     metrics_path = str(tmp_path / "metrics.prom")
     assert main(

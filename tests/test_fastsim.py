@@ -232,7 +232,7 @@ def test_choose_engine_auto_falls_back_for_uncovered_policy():
     assert choose_engine("auto", "gspc") == "fast"
 
 
-def test_choose_engine_auto_falls_back_under_observer(monkeypatch):
+def test_choose_engine_auto_takes_kernels_under_observer(monkeypatch):
     """An observed auto run replays on the kernels and the observer
     reads their record."""
     from repro.fastsim import engine
@@ -283,7 +283,7 @@ def test_gspc_subclass_with_overridden_hooks_takes_reference_path():
     assert supports_policy("gspc+bypass")
 
 
-def test_choose_engine_fast_rejects_observer():
+def test_choose_engine_fast_accepts_observer():
     """--engine fast accepts an observer and reports what reference does."""
     trace = synth.random_trace(600, 128, seed=6)
     summaries = {}

@@ -8,7 +8,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    default_registry,
 )
 
 
@@ -86,7 +85,3 @@ def test_registry_reset():
     registry.reset()
     assert len(registry) == 0
     assert registry.counter("a").value == 0
-
-
-def test_default_registry_is_shared():
-    assert default_registry() is default_registry()

@@ -1,12 +1,13 @@
-"""Span nesting, aggregation, and per-span event recording."""
+"""Span nesting, aggregation, and the recorder's span-event buffer."""
 
 import os
 
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.spans import SpanRecorder, default_recorder, span
-from repro.obs.tracing import TraceContext
+from repro.obs import spans as spans_module
+from repro.obs.spans import SpanRecorder
+from repro.obs.tracing import TraceContext, make_event
 
 
 class FakeClock:
@@ -27,8 +28,8 @@ def test_single_span_times_body():
     with recorder.span("replay"):
         pass
     # Clock read at entry (0.0) and exit (1.0).
-    assert recorder.seconds("replay") == pytest.approx(1.0)
-    assert recorder.count("replay") == 1
+    assert recorder.flat()["replay"]["seconds"] == pytest.approx(1.0)
+    assert recorder.flat()["replay"]["count"] == 1
 
 
 def test_nesting_builds_paths():
@@ -41,8 +42,8 @@ def test_nesting_builds_paths():
     flat = recorder.flat()
     assert set(flat) == {"run", "run/setup", "run/replay"}
     # Children accumulate under the parent, never as top-level entries.
-    assert recorder.seconds("setup") == 0.0
-    assert recorder.seconds("run", "setup") > 0.0
+    assert "setup" not in flat
+    assert flat["run/setup"]["seconds"] > 0.0
 
 
 def test_repeated_entry_aggregates():
@@ -50,19 +51,8 @@ def test_repeated_entry_aggregates():
     for _ in range(3):
         with recorder.span("replay"):
             pass
-    assert recorder.count("replay") == 3
-    assert recorder.seconds("replay") == pytest.approx(1.5)
-
-
-def test_to_dict_tree_shape():
-    recorder = SpanRecorder(clock=FakeClock())
-    with recorder.span("run"):
-        with recorder.span("replay"):
-            pass
-    tree = recorder.to_dict()
-    assert tree["run"]["count"] == 1
-    assert tree["run"]["children"]["replay"]["count"] == 1
-    assert tree["run"]["children"]["replay"]["children"] == {}
+    assert recorder.flat()["replay"]["count"] == 3
+    assert recorder.flat()["replay"]["seconds"] == pytest.approx(1.5)
 
 
 def test_exception_still_closes_span():
@@ -70,8 +60,8 @@ def test_exception_still_closes_span():
     with pytest.raises(RuntimeError):
         with recorder.span("boom"):
             raise RuntimeError()
-    assert recorder.depth == 0
-    assert recorder.count("boom") == 1
+    assert recorder.abandon_open_spans() == 0  # nothing left open
+    assert recorder.flat()["boom"]["count"] == 1
 
 
 def test_invalid_names_rejected():
@@ -84,22 +74,6 @@ def test_invalid_names_rejected():
             pass
 
 
-def test_reset_refuses_open_spans():
-    recorder = SpanRecorder(clock=FakeClock())
-    with recorder.span("open"):
-        with pytest.raises(ObservabilityError):
-            recorder.reset()
-    recorder.reset()
-    assert recorder.flat() == {}
-
-
-def test_module_level_span_uses_default_recorder():
-    before = default_recorder().count("module-span-test")
-    with span("module-span-test"):
-        pass
-    assert default_recorder().count("module-span-test") == before + 1
-
-
 # -- count / max aggregates ---------------------------------------------------
 
 def test_max_seconds_tracks_longest_entry():
@@ -109,13 +83,10 @@ def test_max_seconds_tracks_longest_entry():
         clock.step = duration / 2  # entry + exit reads bracket the body
         with recorder.span("replay"):
             pass
-    assert recorder.count("replay") == 3
-    assert recorder.max_seconds("replay") == pytest.approx(2.5)
     flat = recorder.flat()["replay"]
     assert set(flat) == {"count", "seconds", "max_seconds"}
+    assert flat["count"] == 3
     assert flat["max_seconds"] == pytest.approx(2.5)
-    tree = recorder.to_dict()
-    assert tree["replay"]["max_seconds"] == pytest.approx(2.5)
 
 
 # -- event recording ----------------------------------------------------------
@@ -130,7 +101,8 @@ def test_events_off_by_default():
 
 def test_events_record_shape_and_context():
     ctx = TraceContext.new_run("test").child("sim:x", attempt=2)
-    recorder = SpanRecorder(record_events=True, context=ctx)
+    recorder = SpanRecorder()
+    recorder.enable_events(context=ctx)
     with recorder.span("run"):
         with recorder.span("replay"):
             pass
@@ -145,61 +117,66 @@ def test_events_record_shape_and_context():
         }
 
 
-def test_event_sampling_keeps_every_nth():
-    recorder = SpanRecorder(record_events=True, sample_period=3)
-    for _ in range(7):
-        with recorder.span("replay"):
-            pass
-    # First span always kept, then every third: spans 1, 4, 7.
-    assert len(recorder.events_payload()) == 3
-    assert recorder.count("replay") == 7  # aggregates see everything
-
-
-def test_event_buffer_is_bounded():
-    recorder = SpanRecorder(record_events=True, max_events=2)
+def test_event_buffer_is_bounded(monkeypatch):
+    monkeypatch.setattr(spans_module, "MAX_EVENTS", 2)
+    recorder = SpanRecorder()
+    recorder.enable_events()
     for _ in range(5):
         with recorder.span("replay"):
             pass
     assert len(recorder.events_payload()) == 2
     assert recorder.dropped_events == 3
+    assert recorder.flat()["replay"]["count"] == 5  # aggregates see all
 
 
-def test_enable_events_validates_knobs():
+def test_recorder_gathers_own_and_shipped_events(monkeypatch):
+    """Events recorded elsewhere (a worker's shipped events, an
+    orchestrator span) merge into the one buffer under the same bound;
+    a recorder not recording events ignores them."""
+    ctx = TraceContext.new_run("run")
+    shipped = [
+        make_event("replay", 100.5, 1.0, pid=4242, path="sim/replay"),
+        make_event("attempt", 100.0, 2.0, ctx=ctx.to_dict(),
+                   args={"attempt": 1}),
+    ]
+    quiet = SpanRecorder()
+    quiet.add_events(shipped)
+    assert quiet.events_payload() == []
+
     recorder = SpanRecorder()
-    with pytest.raises(ObservabilityError):
-        recorder.enable_events(max_events=0)
-    with pytest.raises(ObservabilityError):
-        recorder.enable_events(sample_period=0)
-
-
-def test_disable_events_forgets_buffer_keeps_aggregates():
-    recorder = SpanRecorder(record_events=True)
-    with recorder.span("replay"):
+    recorder.enable_events(context=ctx)
+    with recorder.span("sweep"):
         pass
-    recorder.disable_events()
-    assert recorder.events_payload() == []
-    assert not recorder.events_enabled
-    assert recorder.count("replay") == 1
+    recorder.add_events(shipped)
+    events = recorder.events_payload()
+    assert [e["name"] for e in events] == ["sweep", "replay", "attempt"]
+    assert {e["pid"] for e in events} == {os.getpid(), 4242}
+    assert events[2]["ctx"] == ctx.to_dict()
+    assert events[2]["args"] == {"attempt": 1}
+    shipped[0]["name"] = "mutated"  # the buffer holds copies
+    assert recorder.events_payload()[1]["name"] == "replay"
+
+    monkeypatch.setattr(spans_module, "MAX_EVENTS", 4)
+    recorder.add_events(shipped)
+    assert len(recorder.events_payload()) == 4
+    assert recorder.dropped_events == 1
 
 
 # -- span-leak regression (CLI exception paths) -------------------------------
 
-def test_abandon_open_spans_closes_leaks_and_reset_succeeds():
-    """A run that bails out mid-span (the CLI exception path) must be
-    able to abandon the open spans so a later reset() cannot raise."""
+def test_abandon_open_spans_closes_leaks():
+    """A run that bails out mid-span (the CLI exception path) can
+    abandon the open spans, which then count like closed ones."""
     recorder = SpanRecorder(clock=FakeClock())
     outer = recorder.span("sweep")
     outer.__enter__()
     inner = recorder.span("run")
     inner.__enter__()
     # ...exception unwinds without ever calling __exit__...
-    assert recorder.depth == 2
     assert recorder.abandon_open_spans() == 2
-    assert recorder.depth == 0
-    assert recorder.count("sweep") == 1
-    assert recorder.count("sweep", "run") == 1
-    recorder.reset()  # must not raise ObservabilityError
-    assert recorder.flat() == {}
+    flat = recorder.flat()
+    assert flat["sweep"]["count"] == 1
+    assert flat["sweep/run"]["count"] == 1
     assert recorder.abandon_open_spans() == 0  # idempotent on clean state
 
 
@@ -209,4 +186,4 @@ def test_close_after_abandon_is_noop():
     guard.__enter__()
     recorder.abandon_open_spans()
     guard.__exit__(None, None, None)  # late unwind must not double-close
-    assert recorder.count("orphan") == 1
+    assert recorder.flat()["orphan"]["count"] == 1

@@ -1,15 +1,13 @@
-"""Trace context propagation, event collection, and the Chrome-trace /
-Prometheus-text exporters."""
+"""Trace context propagation and the Chrome-trace / Prometheus-text
+exporters."""
 
 import json
-import os
 
 import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
-    TraceCollector,
     TraceContext,
     activate,
     current,
@@ -77,32 +75,6 @@ def test_activate_current_deactivate():
     finally:
         deactivate()
     assert current() is None
-
-
-# -- TraceCollector -----------------------------------------------------------
-
-def test_collector_gathers_own_and_shipped_events():
-    ctx = TraceContext.new_run("run")
-    collector = TraceCollector(ctx)
-    collector.add_span("attempt", 100.0, 2.0, args={"attempt": 1})
-    collector.extend(
-        [make_event("replay", 100.5, 1.0, pid=4242, path="sim/replay")]
-    )
-    assert len(collector) == 2
-    assert collector.pids() == sorted({os.getpid(), 4242})
-    own = collector.events[0]
-    assert own["ctx"] == ctx.to_dict()
-    assert own["args"] == {"attempt": 1}
-
-
-def test_collector_buffer_is_bounded():
-    collector = TraceCollector(TraceContext.new_run("run"), max_events=2)
-    for index in range(5):
-        collector.add_span(f"s{index}", float(index), 1.0)
-    assert len(collector) == 2
-    assert collector.dropped == 3
-    with pytest.raises(ObservabilityError):
-        TraceCollector(TraceContext.new_run("run"), max_events=0)
 
 
 # -- Chrome trace export ------------------------------------------------------

@@ -262,47 +262,67 @@ def test_run_policy_sims_returns_telemetry(cached):
 
 # -- cross-process span shipping ----------------------------------------------
 
-def test_worker_spans_ship_across_processes(cached):
-    """Span events recorded inside real worker processes come back with
-    the parent run id stamped on them and export to a valid
-    Chrome/Perfetto trace."""
+def _traced_recorder():
+    from repro.obs.spans import SpanRecorder
     from repro.obs.tracing import TraceContext
+
+    recorder = SpanRecorder()
+    recorder.enable_events(context=TraceContext.new_run("test"))
+    return recorder
+
+
+def test_worker_spans_ship_across_processes(cached):
+    """Span events recorded inside real worker processes reach the
+    caller's recorder with the parent run id stamped on them and export
+    to a valid Chrome/Perfetto trace."""
     from repro.obs.traceexport import build_chrome_trace, validate_trace
 
-    ctx = TraceContext.new_run("test")
+    recorder = _traced_recorder()
+    run_id = recorder.context.run_id
     plan = plan_for_experiment(get_experiment("fig08"), cached)[:2]
-    outcomes = run_plan(plan, cached, workers=2, trace_ctx=ctx)
-    events = [event for outcome in outcomes for event in outcome.events]
-    assert events, "workers shipped no span events"
-    assert {e["ctx"]["run_id"] for e in events} == {ctx.run_id}
-    assert all(e["pid"] != os.getpid() for e in events)
-    assert validate_trace(build_chrome_trace(events, ctx.run_id)) == []
+    run_plan(plan, cached, workers=2, spans=recorder)
+    events = recorder.events_payload()
+    worker_events = [e for e in events if e["pid"] != os.getpid()]
+    assert worker_events, "workers shipped no span events"
+    assert {e["ctx"]["run_id"] for e in events} == {run_id}
+    assert validate_trace(build_chrome_trace(events, run_id)) == []
 
 
 def test_run_jobs_ships_events_in_plan_order(cached):
-    """Outcomes come back in plan order, each carrying its own job's
+    """Outcomes come back in plan order.  The caller's recorder gets one
+    orchestrator ``attempt`` span per job and each job's own worker
     events: stamped with that job's sweep id, under one root span named
-    after its kind.  Without a trace context nothing is shipped."""
-    from repro.obs.tracing import TraceContext
+    after its kind.  Outcomes never carry events, and a recorder that
+    is not recording events gets none."""
+    from repro.obs.spans import SpanRecorder
 
-    ctx = TraceContext.new_run("test")
+    recorder = _traced_recorder()
     plan = [
         job for job in plan_for_experiment(get_experiment("fig08"), cached)
         if job.app == "DMC"
     ]
     assert [job.kind for job in plan] == ["trace", "sim"]
-    outcomes = run_plan(plan, cached, workers=2, trace_ctx=ctx)
+    outcomes = run_plan(plan, cached, workers=2, spans=recorder)
     assert [outcome.job for outcome in outcomes] == plan
-    for outcome in outcomes:
-        events = outcome.events
-        assert events, f"{outcome.job.job_id} shipped no span events"
-        assert {e["ctx"]["job_id"] for e in events} == {outcome.job.job_id}
-        roots = [e for e in events if "/" not in e["path"]]
-        assert [e["name"] for e in roots] == [outcome.job.kind]
+    assert all(outcome.events == [] for outcome in outcomes)
+    events = recorder.events_payload()
+    attempts = [e for e in events if e["pid"] == os.getpid()]
+    assert [e["path"] for e in attempts] == ["attempt", "attempt"]
+    assert sorted(e["name"] for e in attempts) == sorted(
+        job.job_id for job in plan
+    )
+    for job in plan:
+        shipped = [
+            e for e in events
+            if e["pid"] != os.getpid() and e["ctx"]["job_id"] == job.job_id
+        ]
+        assert shipped, f"{job.job_id} shipped no span events"
+        roots = [e for e in shipped if "/" not in e["path"]]
+        assert [e["name"] for e in roots] == [job.kind]
 
-    quiet = run_plan(plan, cached, workers=1)
-    assert [outcome.job for outcome in quiet] == plan
-    assert all(outcome.events == [] for outcome in quiet)
+    quiet = SpanRecorder()
+    assert [o.job for o in run_plan(plan, cached, workers=1, spans=quiet)] == plan
+    assert quiet.events_payload() == []
 
 
 # -- manifest section ---------------------------------------------------------

@@ -2,10 +2,17 @@
 
 import json
 import os
+import re
+from types import SimpleNamespace
 
 import pytest
 
-from repro.obs.manifest import sweep_manifest
+from repro.obs.manifest import (
+    experiment_manifest,
+    sim_manifest,
+    sweep_manifest,
+    timing_manifest,
+)
 from repro.obs.report import collect, main, render_report
 from repro.obs.tracing import make_event
 from repro.obs.traceexport import build_chrome_trace, write_trace_file
@@ -118,6 +125,60 @@ def test_report_sections(run_dir):
     assert "Attempt timeline" in report
     assert "crash: worker crashed" in report
     assert "+0.00s" in report and "+4.00s" in report
+
+
+def _per_run(report):
+    """Per-run results rows as {run: [cells after Source and Kind]}."""
+    section = report[report.index("Per-run results"):].split("\n\n")[0]
+    rows = [re.split(r"\s{2,}", line.strip())
+            for line in section.splitlines()[4:]]
+    return {row[2]: row[1:2] + row[3:] for row in rows}
+
+
+def test_per_run_rows_for_every_run_kind(run_dir):
+    """One row per offline-sim / frame-timing / experiment manifest, one
+    per sweep sim job plus a sweep summary row; floats to four
+    significant digits; unrelated JSON in a scanned directory skipped."""
+    sim = sim_manifest(SimpleNamespace(
+        setup_seconds=0.5, replay_seconds=2.0, policy="drrip",
+        accesses=1000, trace_meta={"name": "DMC#f0"}, extras={},
+        stats=SimpleNamespace(snapshot=lambda: {
+            "accesses": 1000, "hits": 750, "misses": 250,
+            "hit_rate": 0.75, "per_stream": {},
+        }),
+    ))
+    timing = timing_manifest(
+        SimpleNamespace(
+            setup_seconds=0.25, replay_seconds=4.0, policy="gspc",
+            accesses=1000,
+            to_dict=lambda: {"accesses": 1000, "misses": 200},
+        ),
+        trace_meta={"name": "DMC#f0"},
+    )
+    experiment = experiment_manifest("fig12", "LLC misses", elapsed_seconds=3.0)
+    for name, manifest in (
+        ("offline-sim.json", sim),
+        ("frame-timing.json", timing),
+        ("experiment.json", experiment),
+        ("spec.json", {"name": "not a manifest"}),
+    ):
+        with open(os.path.join(run_dir, name), "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+
+    data = collect([run_dir])
+    assert data.problems == []
+    rows = _per_run(render_report(data))
+    assert rows == {
+        "DMC#f0/drrip": ["offline-sim", "1000", "250", "0.75", "0.5", "2",
+                         "500"],
+        "DMC#f0/gspc": ["frame-timing", "1000", "200", "-", "0.25", "4",
+                        "250"],
+        "fig12": ["experiment", "-", "-", "-", "0", "3", "-"],
+        JOB_A: ["sweep", "1000", "100", "0.9", "-", "-", "-"],
+        JOB_B: ["sweep", "1000", "80", "0.92", "-", "-", "-"],
+        "tiny [3/3 ok, 0 failed]": ["sweep", "2000", "180", "-", "-", "4",
+                                    "500"],
+    }
 
 
 def test_throughput_math(run_dir):

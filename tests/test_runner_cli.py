@@ -135,6 +135,44 @@ def test_jobs_two_runs_and_records_parallel_manifest(tmp_path, capsys):
     assert parallel["serial_seconds_estimate"] > 0
 
 
+def test_traced_jobs_run_has_one_attempt_span_per_plan_job(
+    tmp_path, monkeypatch, capsys
+):
+    """A traced ``--jobs 2`` run builds its trace as gspc-sweep does: one
+    orchestrator ``attempt`` span per plan job, beside the workers' own
+    spans, every span under the run's id."""
+    from repro.experiments.common import ExperimentConfig, get_experiment
+    from repro.experiments.runner import plan_for_experiment
+    from repro.obs.traceexport import load_trace_file, validate_trace
+
+    monkeypatch.chdir(tmp_path)
+    clear_result_caches()
+    try:
+        assert main(
+            ["fig12", "--scale", "0.0625", "--jobs", "2",
+             "--trace-out", "trace.json"]
+        ) == 0
+    finally:
+        clear_result_caches()
+    capsys.readouterr()
+    trace = load_trace_file(str(tmp_path / "trace.json"))
+    assert validate_trace(trace) == []
+    spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+    assert {e["pid"] for e in spans if e["name"] == "parallel"} == {os.getpid()}
+    attempts = [e for e in spans if e["args"]["path"] == "attempt"]
+    plan = plan_for_experiment(
+        get_experiment("fig12"), ExperimentConfig(scale=0.0625)
+    )
+    assert sorted(e["name"] for e in attempts) == sorted(
+        job.job_id for job in plan
+    )
+    assert {e["pid"] for e in attempts} == {os.getpid()}
+    assert len({e["pid"] for e in spans} - {os.getpid()}) >= 2
+    assert {e["args"]["run_id"] for e in spans} == {
+        trace["metadata"]["run_id"]
+    }
+
+
 @pytest.fixture(scope="module")
 def fig01_workdir(tmp_path_factory):
     """A work dir with a warm trace cache and fig01's serial CSVs."""

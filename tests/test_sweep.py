@@ -17,7 +17,10 @@ from hypothesis import strategies as st
 
 from repro.errors import SweepError
 from repro.faults import FaultSpec
+from repro.obs import spans as spans_module
 from repro.obs.manifest import sweep_manifest, validate_manifest
+from repro.obs.spans import SpanRecorder
+from repro.obs.tracing import TraceContext, make_event
 from repro.sweep.exec import AttemptResult, RetryPolicy, SweepRunner
 from repro.sweep.journal import (
     Journal,
@@ -397,6 +400,63 @@ def test_runner_reports_each_successful_attempt(tmp_path):
     )
     assert {job.job_id: payload for job, payload in seen} == outcome.completed
     assert dict(seen)[jobs[1]]["ran_attempt"] == 2
+
+
+def test_runner_records_attempts_and_worker_events(tmp_path, monkeypatch):
+    """Each finished attempt adds one orchestrator span (a failed one
+    under ``attempt/<kind>``) and its worker's shipped events to the
+    recorder the caller hands over, under the recorder's one bound."""
+    jobs = _plan()
+    ctx = TraceContext.new_run("t")
+
+    def ok(job_id):
+        worker_event = make_event(
+            "sim", 1.0, 0.5, pid=4242, ctx=ctx.child(job_id).to_dict()
+        )
+        return AttemptResult(
+            ok=True, payload={"job": job_id}, events=[worker_event]
+        )
+
+    retried = jobs[1].job_id
+    script = {(job.job_id, 1): ok(job.job_id) for job in jobs}
+    script[(retried, 1)] = AttemptResult(ok=False, kind="crash", error="boom")
+    script[(retried, 2)] = ok(retried)
+
+    def traced_run(journal_name, recorder):
+        with Journal(str(tmp_path / journal_name)) as journal:
+            _, runner = _runner(
+                jobs, FakeLauncher(script), journal, spans=recorder
+            )
+            assert runner.run().ok
+        return recorder.events_payload()
+
+    quiet = SpanRecorder()  # not recording events: nothing is added
+    assert traced_run("quiet.jsonl", quiet) == []
+
+    recorder = SpanRecorder()
+    recorder.enable_events(context=ctx)
+    events = traced_run("j.jsonl", recorder)
+    attempts = [e for e in events if e["pid"] == os.getpid()]
+    assert sorted(
+        (e["name"], e["args"]["attempt"], e["path"]) for e in attempts
+    ) == sorted(
+        [(job.job_id, 1, "attempt") for job in jobs if job.job_id != retried]
+        + [(retried, 1, "attempt/crash"), (retried, 2, "attempt")]
+    )
+    for event in attempts:
+        attempt = event["args"]["attempt"]
+        assert event["ctx"] == ctx.child(event["name"], attempt).to_dict()
+    # Each successful attempt's worker events, merged once.
+    shipped = [e["ctx"]["job_id"] for e in events if e["pid"] == 4242]
+    assert sorted(shipped) == sorted(job.job_id for job in jobs)
+    assert recorder.dropped_events == 0
+
+    # Past the bound, events are counted, never stored.
+    monkeypatch.setattr(spans_module, "MAX_EVENTS", 5)
+    bounded = SpanRecorder()
+    bounded.enable_events(context=ctx)
+    assert len(traced_run("bounded.jsonl", bounded)) == 5
+    assert bounded.dropped_events == len(events) - 5
 
 
 def test_runner_timeout_cancels_and_retries(tmp_path):

@@ -237,6 +237,31 @@ def test_traced_parallel_sweep_acceptance(tmp_path, cache_dir):
     )
 
 
+def test_traced_sweep_counts_dropped_events(tmp_path, cache_dir, monkeypatch):
+    """Orchestrator spans, attempt spans and the workers' events share
+    the run recorder's one bound; the trace metadata counts the rest."""
+    from repro.obs import spans as spans_module
+    from repro.obs.traceexport import load_trace_file, validate_trace
+
+    def traced(name):
+        out = str(tmp_path / name)
+        trace_path = os.path.join(out, "trace.json")
+        assert run_cli(
+            "--out", out, "--cache-dir", cache_dir, *BASE,
+            "--trace-out", trace_path,
+        ) == 0
+        trace = load_trace_file(trace_path)
+        assert validate_trace(trace) == []
+        spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        return len(spans), trace["metadata"]["dropped_events"]
+
+    recorded, dropped = traced("whole")
+    assert dropped == 0
+    # The workers' own recorders keep their handful of spans each.
+    monkeypatch.setattr(spans_module, "MAX_EVENTS", 6)
+    assert traced("bounded") == (6, recorded - 6)
+
+
 def test_sweep_metrics_text_dump(tmp_path, cache_dir):
     out = str(tmp_path / "sweep")
     metrics_path = os.path.join(out, "metrics.prom")
@@ -250,14 +275,6 @@ def test_sweep_metrics_text_dump(tmp_path, cache_dir):
     assert "repro_sweep_jobs_total" in text
     assert "repro_sweep_attempt_seconds_count" in text
     assert 'run_id="gspc-sweep-' in text
-
-
-def test_trace_sample_validated(tmp_path, cache_dir):
-    out = str(tmp_path / "sweep")
-    assert run_cli(
-        "--out", out, "--cache-dir", cache_dir, *BASE,
-        "--trace-sample", "0",
-    ) == 2
 
 
 def test_parallel_sweep_matches_serial_artifacts(tmp_path, cache_dir):
