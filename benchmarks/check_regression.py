@@ -1,7 +1,7 @@
 """Benchmark-regression gate: one comparison loop over ``metrics`` maps.
 
-Each gated bench script (``bench_throughput.py``, ``bench_fastsim.py``,
-``bench_sweep.py``, ``bench_serve.py``) writes the numbers it gates as
+Each gated bench script (``bench_fastsim.py``, ``bench_sweep.py``,
+``bench_serve.py``) writes the numbers it gates as
 ``"metrics": {NAME: {"value": V, "unit": U, "better": "higher"|"lower"}}``;
 an entry may add ``"limit"``, an absolute bound in its own unit.  For
 each ``REPORT BASELINE`` pair the gate prints a delta table, and:
@@ -15,7 +15,7 @@ Exit 1 on any failure or on an unreadable or malformed file, 2 on a
 usage error::
 
     python benchmarks/check_regression.py \\
-        BENCH_throughput_ci.json BENCH_throughput.json \\
+        BENCH_fastsim_ci.json BENCH_fastsim.json \\
         BENCH_sweep_ci.json BENCH_sweep.json
 
 Refresh a baseline by writing a fresh report over it (each bench

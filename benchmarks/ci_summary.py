@@ -5,7 +5,7 @@ miss-rate tables are readable on the run page without downloading
 artifacts::
 
     PYTHONPATH=src python benchmarks/ci_summary.py \
-        BENCH_throughput_ci.json BENCH_sweep_ci.json \
+        BENCH_sweep_ci.json \
         --fastsim BENCH_fastsim_ci.json >> "$GITHUB_STEP_SUMMARY"
 
     PYTHONPATH=src python benchmarks/ci_summary.py \

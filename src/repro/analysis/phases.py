@@ -19,7 +19,7 @@ import numpy as np
 from repro.cache.geometry import CacheGeometry
 from repro.cache.llc import HIT
 from repro.config import LLCConfig
-from repro.sim.epochs import rt_consumptions
+from repro.sim.epochs import rt_transitions
 from repro.sim.offline import PolicyLike, replay
 from repro.streams import ALL_STREAMS, Stream
 from repro.trace.record import Trace
@@ -60,7 +60,7 @@ def phase_profile(
     llc_config = llc_config or LLCConfig()
     outcomes = replay(trace, policy, llc_config).outcomes
     block_bits = CacheGeometry.from_config(llc_config).block_bits
-    consumed = rt_consumptions(trace, outcomes, block_bits)
+    _, consumed = rt_transitions(trace, outcomes, block_bits)
     hits = outcomes == HIT
     windows: List[PhaseWindow] = []
     for start in range(0, len(trace), window):

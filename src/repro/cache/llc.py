@@ -4,10 +4,12 @@ The LLC is non-inclusive/non-exclusive: a miss always fills the
 requested block (unless the stream is configured as uncached, or a
 bypass-capable policy vetoes the fill), and evictions never invalidate
 the internal render caches (Section 2).  The engine owns tags, dirty
-bits, the stream identity of each resident block, and the engine-level
-RT bit used for the paper's inter-stream statistics — the latter is
-deliberately independent of any policy's own state so every policy can
-be characterized identically (Figures 5, 6, 13).
+bits, and the engine-level RT bit used for the paper's inter-stream
+statistics — the latter is deliberately independent of any policy's
+own state so every policy can be characterized identically (Figures
+5, 6, 13).  This online count is the ground truth that
+:func:`repro.sim.epochs.rt_transitions` reproduces from a replay
+record for the fast engine.
 
 Replacement decisions are delegated to a
 :class:`~repro.core.base.ReplacementPolicy` through the hook interface.
@@ -57,7 +59,6 @@ class LLC:
         #: Per-slot metadata (slot = set * ways + way).
         self._tag: List[int] = [0] * blocks
         self._dirty: List[bool] = [False] * blocks
-        self._stream: List[int] = [int(Stream.OTHER)] * blocks
         self._rt_flag: List[bool] = [False] * blocks
         #: Number of ways ever filled per set — ways fill in order and
         #: are never invalidated, so this finds free ways in O(1).
@@ -143,7 +144,6 @@ class LLC:
             stats.rt_produced += 1
         if ctx.is_write:
             self._dirty[slot] = True
-        self._stream[slot] = ctx.stream
         self.policy.on_hit(ctx, way)
 
     def _fill(self, ctx: AccessContext) -> None:
@@ -161,7 +161,6 @@ class LLC:
         self._lookup[set_index][ctx.block] = way
         self._tag[slot] = ctx.block
         self._dirty[slot] = ctx.is_write
-        self._stream[slot] = ctx.stream
         is_rt = ctx.sclass == _RT_CLASS
         self._rt_flag[slot] = is_rt
         if is_rt:

@@ -4,7 +4,7 @@ The LLC engine (:mod:`repro.cache.llc`) drives a policy through five
 hooks: victim selection, hit, fill, eviction, and an optional bypass
 veto.  Policies keep their own per-block metadata, allocated when the
 engine binds them to a :class:`~repro.cache.geometry.CacheGeometry`; the
-engine owns tags, validity, stream identity and statistics.
+engine owns tags, validity, dirty bits and statistics.
 
 ``AccessContext`` is a single mutable object reused for every access —
 policies must read what they need inside the hook and never retain a
@@ -14,8 +14,6 @@ reference across accesses.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
-
-from repro.errors import PolicyError
 
 if TYPE_CHECKING:  # geometry is only referenced in annotations; a
     # runtime import would be circular (cache.llc imports this module).
@@ -74,11 +72,6 @@ class ReplacementPolicy:
         Subclasses must call ``super().bind(geometry)`` first.
         """
         self.geometry = geometry
-
-    def _require_bound(self) -> CacheGeometry:
-        if self.geometry is None:
-            raise PolicyError(f"policy {self.name!r} used before bind()")
-        return self.geometry
 
     # -- hooks (hot path) ------------------------------------------------
 

@@ -214,15 +214,6 @@ def clear_result_caches() -> None:
     _REPLAY_CACHE.clear()
 
 
-def app_average(values_by_frame: Dict[str, List[float]]) -> Dict[str, float]:
-    """Collapse per-frame values into per-application averages."""
-    return {
-        app: sum(values) / len(values)
-        for app, values in values_by_frame.items()
-        if values
-    }
-
-
 def group_frames_by_app(
     frames: Sequence[FrameSpec],
 ) -> Dict[str, List[FrameSpec]]:

@@ -6,8 +6,12 @@ package instead pre-decodes the trace once (:mod:`repro.fastsim.decode`)
 and replays it through one *specialized* per-policy loop
 (:mod:`repro.fastsim.kernels`) over flat state arrays — the classic
 array-backed simulator structure of the SHiP/DRRIP artifact lineage.
-Statistics are byte-identical to the reference engine by construction;
-CI enforces it (the ``engine-equivalence`` job) and
+The kernels mirror the policies' transitions and keep only policy
+state; every statistic is derived from the replay record afterwards
+(the RT bit's four inter-stream counts by
+:func:`repro.sim.epochs.rt_transitions`).  The results are
+byte-identical to the reference engine's, which counts the same
+statistics online: CI enforces it (the ``engine-equivalence`` job) and
 ``tests/test_fastsim.py`` property-checks it on random traces.
 
 Use :func:`repro.fastsim.dispatch.choose_engine` to pick an engine and

@@ -29,6 +29,7 @@ from repro.fastsim.decode import decode_trace
 from repro.fastsim.dispatch import kernel_kind
 from repro.fastsim.kernels import kernel_columns, kernel_for, kernel_params
 from repro.obs.spans import SpanRecorder
+from repro.sim.epochs import rt_transitions
 from repro.sim.results import Replay, SimResult
 from repro.streams import ALL_STREAMS, Stream, StreamClass
 from repro.trace.record import Trace
@@ -113,7 +114,9 @@ def fast_replay(
 
     result = SimResult(
         policy=instance.name,
-        stats=_assemble_stats(counters, trace, outcomes, uncached),
+        stats=_assemble_stats(
+            counters, trace, outcomes, uncached, geometry.block_bits
+        ),
         accesses=len(trace),
         elapsed_seconds=setup_seconds + replay_seconds,
         setup_seconds=setup_seconds,
@@ -134,13 +137,20 @@ def fast_replay(
 
 
 def _assemble_stats(
-    counters: dict, trace: Trace, outcomes: np.ndarray, uncached: FrozenSet[Stream]
+    counters: dict,
+    trace: Trace,
+    outcomes: np.ndarray,
+    uncached: FrozenSet[Stream],
+    block_bits: int,
 ) -> LLCStats:
-    """The kernel's counters plus the counts its replay record implies.
+    """The counts the kernel's replay record implies.
 
     Every ``MISS`` filled and read DRAM, every fill past the resident
     blocks evicted one, and every write-back is one recorded dirty
-    victim.  A ``BYPASS`` counts as :meth:`LLC.access
+    victim.  The RT bit's productions and consumptions are
+    :func:`~repro.sim.epochs.rt_transitions`' masks; the consumptions
+    are the inter-stream texture hits, and the other texture hits are
+    intra-stream.  A ``BYPASS`` counts as :meth:`LLC.access
     <repro.cache.llc.LLC.access>` counts it: on a statically uncached
     stream it is a bypass, passed straight to DRAM as a read or a
     write; on any other stream the policy vetoed the fill, which is a
@@ -173,10 +183,10 @@ def _assemble_stats(
     stats.fills = sum(misses)
     stats.evictions = stats.fills - len(counters["resident"])
     stats.writebacks = writebacks
-    stats.tex_inter_hits = counters["tex_inter_hits"]
-    stats.tex_intra_hits = counters["tex_intra_hits"]
-    stats.rt_produced = counters["rt_produced"]
-    stats.rt_consumed = counters["rt_consumed"]
+    produced, consumed = rt_transitions(trace, outcomes, block_bits)
+    stats.rt_produced = int(np.count_nonzero(produced))
+    stats.rt_consumed = stats.tex_inter_hits = int(np.count_nonzero(consumed))
+    stats.tex_intra_hits = stats.class_hits(StreamClass.TEX) - stats.rt_consumed
     stats.dram_reads = stats.fills + sum(bypasses) - uncached_writes
     stats.dram_writes = writebacks + sum(bypass_writes)
     return stats

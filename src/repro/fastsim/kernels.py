@@ -35,7 +35,11 @@ Every kernel also returns its replay record (outcome codes, dirty
 victims and the blocks left resident, see
 :class:`~repro.sim.results.Replay`), written on the hit path and at the
 one eviction site; the engine derives per-stream counts, fills,
-evictions, DRAM traffic and write-backs from it.
+evictions, DRAM traffic, write-backs and the RT bit's inter-stream
+counts from it (:func:`repro.sim.epochs.rt_transitions`).  So a kernel
+keeps only tags, dirty bits and its policy's state, and every kernel's
+hit path is the template's: mark the outcome and the dirty bit, then
+run the policy's ``on hit``.
 
 The GSPC family (``gspztc``, ``gspztc_tse``, ``gspc``, ``gspc_bypass``)
 adds per-bank saturating counters and a per-line epoch state array on
@@ -71,12 +75,7 @@ def replay(blocks, bases, sclasses, writes, next_uses,
     filled = [0] * total_slots
     tags = [0] * total_slots
     dirty = [False] * total_slots
-    rt = [False] * total_slots
 ${setup}
-    tex_inter = 0
-    tex_intra = 0
-    rt_prod = 0
-    rt_cons = 0
     # The replay record: every access starts as MISS (0) and hits flip
     # to HIT (1); dirty victims keep the evicting access's position.
     outcomes = bytearray(len(blocks))
@@ -86,7 +85,9 @@ ${setup}
         slot = lookup_get(block)
         if slot is not None:
             outcomes[index] = 1
-${hit_body}
+            if write:
+                dirty[slot] = True
+${on_hit}
             continue
 ${bypass}\
         count = filled[base]
@@ -104,44 +105,14 @@ ${on_evict}\
         lookup[block] = slot
         tags[slot] = block
         dirty[slot] = write
-        if sclass == 2:
-            rt[slot] = True
-            rt_prod += 1
-        else:
-            rt[slot] = False
 ${on_fill}
     return {
         "resident": list(lookup),
-        "tex_inter_hits": tex_inter,
-        "tex_intra_hits": tex_intra,
-        "rt_produced": rt_prod,
-        "rt_consumed": rt_cons,
         "fill_counts": ${fill_counts},
         "outcomes": outcomes,
         "victim_at": victim_at,
         "victim_blocks": victim_blocks,
     }
-""")
-
-# Default hit body: the engine's inter-stream (RT-bit) bookkeeping
-# followed by the policy's ``on hit`` snippet.  A spec may instead
-# provide a full ``hit_body`` that fuses both into one stream-class
-# dispatch — the GSPC kernels do, so the hot hit path pays a single
-# branch tree instead of two sequential ones.
-_DEFAULT_HIT_BODY = string.Template("""\
-if sclass == 1:
-    if rt[slot]:
-        tex_inter += 1
-        rt_cons += 1
-        rt[slot] = False
-    else:
-        tex_intra += 1
-elif sclass == 2 and not rt[slot]:
-    rt[slot] = True
-    rt_prod += 1
-if write:
-    dirty[slot] = True
-${on_hit}
 """)
 
 
@@ -381,28 +352,17 @@ def _gspc_setup(counters: Tuple[str, ...]) -> str:
 
 _GSPZTC_COUNTERS = ("fill_z", "hit_z", "fill_tex", "hit_tex")
 
-# Fused hit bodies: the engine's TEX/RT inter-stream bookkeeping and
-# the policy's transitions dispatch on ``sclass`` once.  The class
-# branches are mutually exclusive, so dispatch order is free to favor
-# the cheap bookkeeping-free OTHER class; *within* each class the
+# The GSPC-family ``on hit`` snippets dispatch on ``sclass`` once and
+# repeat the sample-set tick in each class branch.  The branches are
+# mutually exclusive, so their order is free; *within* each class the
 # order matches the reference hooks exactly (tick before counter
 # increments, counter reads before state updates).
-_GSPZTC_HIT_BODY = f"""\
+_GSPZTC_ON_HIT = f"""\
 if sclass == 3:
-    if write:
-        dirty[slot] = True
     if sample:
 {textwrap.indent(_tick(_GSPZTC_COUNTERS), "        ")}
     rrpv[slot] = 0
 elif sclass == 1:
-    if rt[slot]:
-        tex_inter += 1
-        rt_cons += 1
-        rt[slot] = False
-    else:
-        tex_intra += 1
-    if write:
-        dirty[slot] = True
     if sample:
 {textwrap.indent(_tick(_GSPZTC_COUNTERS), "        ")}
         if pstate[slot] == 3:
@@ -413,18 +373,11 @@ elif sclass == 1:
         pstate[slot] = 0
     rrpv[slot] = 0
 elif sclass == 2:
-    if not rt[slot]:
-        rt[slot] = True
-        rt_prod += 1
-    if write:
-        dirty[slot] = True
     if sample:
 {textwrap.indent(_tick(_GSPZTC_COUNTERS), "        ")}
     pstate[slot] = 3
     rrpv[slot] = 0
 else:
-    if write:
-        dirty[slot] = True
     if sample:
 {textwrap.indent(_tick(_GSPZTC_COUNTERS), "        ")}
 {textwrap.indent(_inc("hit_z"), "        ")}
@@ -456,9 +409,9 @@ _TSE_COUNTERS = ("fill_z", "hit_z", "fill_e0", "hit_e0", "fill_e1", "hit_e1")
 _GSPC_COUNTERS = _TSE_COUNTERS + ("prod", "cons")
 
 
-def _tse_hit_body(counters: Tuple[str, ...], rt_consumed: str = "") -> str:
-    """Shared GSPZTC+TSE fused hit body; ``rt_consumed`` is GSPC's
-    extra CONS count on an RT -> TEX consumption in a sample set."""
+def _tse_on_hit(counters: Tuple[str, ...], rt_consumed: str = "") -> str:
+    """Shared GSPZTC+TSE ``on hit``; ``rt_consumed`` is GSPC's extra
+    CONS count on an RT -> TEX consumption in a sample set."""
     consumed = (
         textwrap.indent(_inc(rt_consumed), "            ") + "\n"
         if rt_consumed
@@ -466,20 +419,10 @@ def _tse_hit_body(counters: Tuple[str, ...], rt_consumed: str = "") -> str:
     )
     return f"""\
 if sclass == 3:
-    if write:
-        dirty[slot] = True
     if sample:
 {textwrap.indent(_tick(counters), "        ")}
     rrpv[slot] = 0
 elif sclass == 1:
-    if rt[slot]:
-        tex_inter += 1
-        rt_cons += 1
-        rt[slot] = False
-    else:
-        tex_intra += 1
-    if write:
-        dirty[slot] = True
     current = pstate[slot]
     if sample:
 {textwrap.indent(_tick(counters), "        ")}
@@ -507,18 +450,11 @@ elif sclass == 1:
         rrpv[slot] = 0
         pstate[slot] = 2
 elif sclass == 2:
-    if not rt[slot]:
-        rt[slot] = True
-        rt_prod += 1
-    if write:
-        dirty[slot] = True
     if sample:
 {textwrap.indent(_tick(counters), "        ")}
     pstate[slot] = 3
     rrpv[slot] = 0
 else:
-    if write:
-        dirty[slot] = True
     if sample:
 {textwrap.indent(_tick(counters), "        ")}
 {textwrap.indent(_inc("hit_z"), "        ")}
@@ -647,7 +583,7 @@ if sclass == 1 and not sample and not write and fill_e0[bank] > t * hit_e0[bank]
 
 _GSPC_SPEC: Dict[str, object] = {
     "setup": _gspc_setup(_GSPC_COUNTERS),
-    "hit_body": _tse_hit_body(_GSPC_COUNTERS, rt_consumed="cons"),
+    "on_hit": _tse_on_hit(_GSPC_COUNTERS, rt_consumed="cons"),
     "select_victim": _RRIP_VICTIM,
     "on_fill": _tse_on_fill(_GSPC_COUNTERS, _GSPC_RT_VALUE, rt_produced="prod"),
     "fill_counts": True,
@@ -756,7 +692,7 @@ slot = base + seg.index(max(seg))
     },
     "gspztc": {
         "setup": _gspc_setup(_GSPZTC_COUNTERS) + '\ntex_rrpv = params["tex_rrpv"]',
-        "hit_body": _GSPZTC_HIT_BODY,
+        "on_hit": _GSPZTC_ON_HIT,
         "select_victim": _RRIP_VICTIM,
         "on_fill": _GSPZTC_ON_FILL,
         "fill_counts": True,
@@ -765,7 +701,7 @@ slot = base + seg.index(max(seg))
     },
     "gspztc_tse": {
         "setup": _gspc_setup(_TSE_COUNTERS),
-        "hit_body": _tse_hit_body(_TSE_COUNTERS),
+        "on_hit": _tse_on_hit(_TSE_COUNTERS),
         "select_victim": _RRIP_VICTIM,
         "on_fill": _tse_on_fill(_TSE_COUNTERS, "value = 0"),
         "fill_counts": True,
@@ -809,12 +745,9 @@ def kernel_source(kind: str) -> str:
     if spec.get("needs_signature"):
         loop_vars += ", signature"
         loop_srcs += ", signatures"
-    hit_body = spec.get("hit_body")
-    if hit_body is None:
-        hit_body = _DEFAULT_HIT_BODY.substitute(on_hit=str(spec["on_hit"]).rstrip())
     return _TEMPLATE.substitute(
         setup=_indented(str(spec["setup"]), 4),
-        hit_body=_indented(str(hit_body), 12),
+        on_hit=_indented(str(spec["on_hit"]), 12),
         bypass=_hook(spec.get("bypass"), 8),
         select_victim=_indented(str(spec["select_victim"]), 12),
         on_evict=_hook(spec.get("on_evict"), 12),

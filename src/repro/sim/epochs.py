@@ -8,6 +8,13 @@ The *death ratio* of E_k is the fraction of blocks that entered E_k but
 were evicted before reaching E_{k+1}; the complement is the epoch's
 reuse probability.  Figures 7 and 9 report these for the texture and Z
 streams under Belady's optimal policy.
+
+A texture life that starts at a consumption reads the LLC's RT bit,
+which :func:`rt_transitions` derives from a replay record.  It is the
+one derivation of that bit outside the reference :class:`~repro.cache.llc.LLC`:
+the fast engine's four inter-stream ``LLCStats`` fields, the epoch
+tracker and :func:`repro.analysis.phases.phase_profile` all read its
+masks.
 """
 
 from __future__ import annotations
@@ -76,32 +83,38 @@ class EpochStats:
         return tuple(h / total for h in self.hits_from)
 
 
-def rt_consumptions(trace: Trace, outcomes: np.ndarray, block_bits: int) -> np.ndarray:
-    """Mask of the texture hits that consumed a render target.
+def rt_transitions(
+    trace: Trace, outcomes: np.ndarray, block_bits: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Masks of the accesses that produced and that consumed a render target.
 
     The LLC's RT bit, as a hit sees it, is the value left by the block's
     last fill, TEX hit or RT hit: a fill sets it to whether the filling
-    stream is a render target, a TEX hit clears it and an RT hit sets
-    it.  So a TEX hit consumes a render target exactly when the previous
-    of those accesses to its block was of class RT.  The mask's total is
-    ``LLCStats.rt_consumed``.
+    stream is RT-class, a TEX hit clears it and an RT hit sets it.  A
+    ``BYPASS`` neither reads nor sets it, nor does a Z or OTHER hit.
+    So an RT-class fill produces, an RT-class hit produces when the
+    previous of those accesses to its block was not RT-class, and a
+    TEX hit consumes when it was.  The masks' totals are
+    ``LLCStats.rt_produced`` and ``LLCStats.rt_consumed``; the consumed
+    TEX hits are also ``LLCStats.tex_inter_hits``.
     """
     classes = _CLASS_OF_STREAM[trace.streams]
+    fills = outcomes == MISS
     hits = outcomes == HIT
-    setters = np.flatnonzero(
-        (outcomes == MISS) | (hits & ((classes == _TEX) | (classes == _RT)))
-    )
+    is_rt = classes == _RT
+    tex_hits = hits & (classes == _TEX)
+    setters = np.flatnonzero(fills | tex_hits | (hits & is_rt))
     blocks = trace.addresses[setters] >> np.uint64(block_bits)
-    # Grouped by block, in access order: a TEX hit's predecessor is its
-    # own block's previous setter (there is one, the fill that brought
-    # the block in).
+    # Grouped by block, in access order: a hit's predecessor is its own
+    # block's previous setter (there is one, the fill that brought the
+    # block in).  A fill's predecessor may belong to another block, but
+    # a fill does not read the bit.
     order = setters[np.argsort(blocks, kind="stable")]
-    before, after = order[:-1], order[1:]
-    consumed = np.zeros(len(outcomes), dtype=bool)
-    consumed[after] = (
-        (classes[before] == _RT) & hits[after] & (classes[after] == _TEX)
-    )
-    return consumed
+    was_rt = np.zeros(len(outcomes), dtype=bool)
+    was_rt[order[1:]] = is_rt[order[:-1]]
+    produced = is_rt & (fills | (hits & ~was_rt))
+    consumed = tex_hits & was_rt
+    return produced, consumed
 
 
 class EpochTracker:
@@ -112,7 +125,7 @@ class EpochTracker:
     hit by the life's class advances it, a hit by any other class
     converts it (ends it), and a ``BYPASS`` touches no block.  A texture
     life also begins when a texture hit consumes a render target
-    (:func:`rt_consumptions`), mirroring the paper's definition of a
+    (:func:`rt_transitions`), mirroring the paper's definition of a
     "texture block".  Lives whose block is still resident when the
     replay ends are the survivors (``EpochStats.still_alive``).
     """
@@ -129,9 +142,8 @@ class EpochTracker:
         live = np.flatnonzero(outcomes != BYPASS)
         events = _CLASS_OF_STREAM[trace.streams[live]]
         events += _HIT_EVENT * (outcomes[live] == HIT)
-        events[rt_consumptions(trace, outcomes, geometry.block_bits)[live]] = (
-            _CONSUME_EVENT
-        )
+        _, consumed = rt_transitions(trace, outcomes, geometry.block_bits)
+        events[consumed[live]] = _CONSUME_EVENT
         blocks = trace.addresses[live] >> np.uint64(geometry.block_bits)
 
         # Per-class counters are indexed by class: Z is 0 and TEX is 1.

@@ -116,6 +116,76 @@ class TestInterStreamTracking:
         assert llc.stats.rt_produced == 2
         assert llc.stats.rt_consumed == 2
 
+    @pytest.mark.parametrize(
+        "policy, produced, consumed",
+        [
+            ("lru", [0, 2, 4, 6], [1, 3, 7]),
+            # DISPLAY is uncached: its two accesses bypass the LLC.
+            ("lru+ucd", [0, 2], [1, 3]),
+        ],
+        ids=["lru", "lru+ucd"],
+    )
+    def test_record_masks_match_the_online_rt_bit(
+        self, policy, produced, consumed
+    ):
+        """``rt_transitions`` reads the RT bit off a replay record as
+        the LLC keeps it online: an RT hit on a block whose bit a TEX
+        hit cleared produces again, a DISPLAY fill or hit produces
+        (DISPLAY is RT-class), a Z hit leaves the bit alone, and a
+        ``BYPASS`` neither sets nor reads it.  Both engines' stats agree."""
+        from helpers import make_trace
+        from repro.config import CacheParams, LLCConfig
+        from repro.sim.epochs import rt_transitions
+        from repro.sim.offline import build_llc, replay, simulate_trace
+
+        entries = [
+            (0, Stream.RT, True),       # 0: RT fill produces
+            (0, Stream.TEXTURE),        # 1: consumes, clears the bit
+            (0, Stream.RT, True),       # 2: RT hit on a cleared bit produces
+            (0, Stream.TEXTURE),        # 3: consumes again
+            (1, Stream.DISPLAY, True),  # 4: DISPLAY fill produces
+            (2, Stream.TEXTURE),        # 5: TEX fill, bit clear
+            (2, Stream.DISPLAY, True),  # 6: DISPLAY hit produces
+            (2, Stream.TEXTURE),        # 7: consumes what 6 produced
+            (2, Stream.Z),              # 8: Z hit, bit untouched
+            (2, Stream.TEXTURE),        # 9: intra-stream
+        ]
+        trace = make_trace(entries)
+        config = LLCConfig(params=CacheParams(4 * 2 * 64, ways=2), banks=1)
+        llc = build_llc(policy, config)
+        online_produced, online_consumed = [], []
+        for index, access in enumerate(
+            zip(
+                trace.addresses.tolist(),
+                trace.streams.tolist(),
+                trace.writes.tolist(),
+            )
+        ):
+            before = (llc.stats.rt_produced, llc.stats.rt_consumed)
+            llc.access(*access)
+            if llc.stats.rt_produced > before[0]:
+                online_produced.append(index)
+            if llc.stats.rt_consumed > before[1]:
+                online_consumed.append(index)
+        assert (online_produced, online_consumed) == (produced, consumed)
+
+        record = replay(trace, policy, config, engine="reference")
+        masks = rt_transitions(
+            trace, record.outcomes, llc.geometry.block_bits
+        )
+        assert [mask.nonzero()[0].tolist() for mask in masks] == [
+            produced,
+            consumed,
+        ]
+        fast = simulate_trace(trace, policy, config, engine="fast").stats
+        assert fast.snapshot() == llc.stats.snapshot()
+        assert (fast.rt_produced, fast.rt_consumed) == (
+            len(produced),
+            len(consumed),
+        )
+        assert fast.tex_inter_hits == len(consumed)
+        assert fast.tex_intra_hits == llc.stats.tex_intra_hits
+
     def test_eviction_clears_rt_flag(self):
         llc = _llc(num_sets=1, ways=1)
         llc.access(_addr(0), Stream.RT, is_write=True)
@@ -157,7 +227,7 @@ class TestObserver:
         from helpers import make_trace
         from repro.config import CacheParams, LLCConfig
         from repro.obs.events import KIND_NAMES, SamplingObserver
-        from repro.sim.epochs import rt_consumptions
+        from repro.sim.epochs import rt_transitions
         from repro.sim.offline import replay, simulate_trace
 
         trace = make_trace(
@@ -176,7 +246,7 @@ class TestObserver:
         record = replay(trace, "lru", config, engine="reference")
         block_bits = CacheGeometry.from_config(config).block_bits
         # The texture hit saw the RT bit.
-        consumed = rt_consumptions(trace, record.outcomes, block_bits)
+        _, consumed = rt_transitions(trace, record.outcomes, block_bits)
         assert consumed.tolist() == [False, True, False]
 
 

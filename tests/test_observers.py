@@ -10,8 +10,8 @@ replay's :class:`~repro.sim.results.Replay` record after the replay, so:
   hits) for covered and uncovered policies alike;
 * every fast-covered policy (with and without ``+ucd``) must give
   identical observer outputs on both engines;
-* the RT consumptions read off the record must be the ones the
-  reference LLC counts, access by access.
+* the RT productions and consumptions read off the record must be the
+  ones the reference LLC counts, access by access.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.config import paper_baseline
 from repro.core.base import NEVER
 from repro.fastsim import FAST_POLICIES
 from repro.obs.events import SamplingObserver
-from repro.sim.epochs import EpochTracker, rt_consumptions
+from repro.sim.epochs import EpochTracker, rt_transitions
 from repro.sim.future import next_use_indices
 from repro.sim.offline import build_llc, replay, simulate_trace
 from repro.streams import StreamClass
@@ -102,26 +102,31 @@ def test_observers_identical_on_both_engines(frame, policy):
 
 
 @pytest.mark.parametrize("policy", sorted(PINNED["epochs"]))
-def test_rt_consumptions_match_the_llc_access_by_access(frame, policy):
-    """The RT-bit helper marks exactly the accesses at which the
-    reference LLC counts an RT consumption."""
+def test_rt_transitions_match_the_llc_access_by_access(frame, policy):
+    """The RT-bit masks mark exactly the accesses at which the reference
+    LLC counts an RT production and an RT consumption."""
     trace, llc_config = frame
     llc = build_llc(policy, llc_config)
     if llc.policy.needs_future:
         next_uses = next_use_indices(trace.block_addresses()).tolist()
     else:
         next_uses = [NEVER] * len(trace)
-    counted = []
+    counted_produced, counted_consumed = [], []
     for address, stream, write, next_use in zip(
         trace.addresses.tolist(),
         trace.streams.tolist(),
         trace.writes.tolist(),
         next_uses,
     ):
-        before = llc.stats.rt_consumed
+        produced = llc.stats.rt_produced
+        consumed = llc.stats.rt_consumed
         llc.access(address, stream, write, next_use)
-        counted.append(llc.stats.rt_consumed > before)
+        counted_produced.append(llc.stats.rt_produced > produced)
+        counted_consumed.append(llc.stats.rt_consumed > consumed)
     record = replay(trace, policy, llc_config)
-    consumed = rt_consumptions(trace, record.outcomes, llc.geometry.block_bits)
-    assert consumed.tolist() == counted
-    assert any(counted)
+    produced, consumed = rt_transitions(
+        trace, record.outcomes, llc.geometry.block_bits
+    )
+    assert produced.tolist() == counted_produced
+    assert consumed.tolist() == counted_consumed
+    assert any(counted_produced) and any(counted_consumed)
