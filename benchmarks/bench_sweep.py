@@ -3,7 +3,7 @@
 Runs the same (trace + sims) job set three times — through a bare
 ``ProcessPoolExecutor`` map over :func:`repro.sweep.worker.execute_job`
 (traces warmed serially first, then the sims fanned out), through the
-full :class:`repro.sweep.SweepRunner` stack (per-attempt worker processes,
+full :class:`repro.sweep.SweepRunner` stack (long-lived worker processes,
 journalling with per-record fsync, result-file handoff), and through
 the same sweep stack with run tracing enabled (trace context shipped
 to every worker, span events gathered in one ``SpanRecorder``) — and
@@ -69,8 +69,8 @@ def run_bench(
     def time_bare() -> float:
         started = time.perf_counter()
         run_traces()
-        # The default start method, as for the sweep's per-attempt
-        # workers, so the two sides differ only in orchestration.
+        # The default start method, as for the sweep's workers, so
+        # the two sides differ only in orchestration.
         with ProcessPoolExecutor(max_workers=workers) as pool:
             list(pool.map(execute_job, sims, [config] * len(sims)))
         return time.perf_counter() - started

@@ -191,7 +191,7 @@ def run_plan(
 ) -> List[JobOutcome]:
     """Run an experiment plan on the sweep engine and seed the caches.
 
-    Every attempt runs in a process of its own under
+    Attempts run on at most ``workers`` worker processes under
     :class:`~repro.sweep.SweepRunner` (default retries, no timeout,
     ``$REPRO_FAULT_SPEC`` honoured).  The journal and the result
     handoff files live in a temporary directory.  Returns the completed

@@ -352,19 +352,18 @@ def _gspc_setup(counters: Tuple[str, ...]) -> str:
 
 _GSPZTC_COUNTERS = ("fill_z", "hit_z", "fill_tex", "hit_tex")
 
-# The GSPC-family ``on hit`` snippets dispatch on ``sclass`` once and
-# repeat the sample-set tick in each class branch.  The branches are
-# mutually exclusive, so their order is free; *within* each class the
-# order matches the reference hooks exactly (tick before counter
-# increments, counter reads before state updates).
+# The GSPC-family ``on hit`` snippets tick the sample set's ACC first,
+# as the reference hooks do for every stream class, then dispatch on
+# ``sclass`` once.  The branches are mutually exclusive, so their order
+# is free; *within* each class the order matches the reference hooks
+# exactly (counter reads before state updates).
 _GSPZTC_ON_HIT = f"""\
+if sample:
+{textwrap.indent(_tick(_GSPZTC_COUNTERS), "    ")}
 if sclass == 3:
-    if sample:
-{textwrap.indent(_tick(_GSPZTC_COUNTERS), "        ")}
     rrpv[slot] = 0
 elif sclass == 1:
     if sample:
-{textwrap.indent(_tick(_GSPZTC_COUNTERS), "        ")}
         if pstate[slot] == 3:
 {textwrap.indent(_inc("fill_tex"), "            ")}
         else:
@@ -373,13 +372,10 @@ elif sclass == 1:
         pstate[slot] = 0
     rrpv[slot] = 0
 elif sclass == 2:
-    if sample:
-{textwrap.indent(_tick(_GSPZTC_COUNTERS), "        ")}
     pstate[slot] = 3
     rrpv[slot] = 0
 else:
     if sample:
-{textwrap.indent(_tick(_GSPZTC_COUNTERS), "        ")}
 {textwrap.indent(_inc("hit_z"), "        ")}
     rrpv[slot] = 0
 """
@@ -418,14 +414,13 @@ def _tse_on_hit(counters: Tuple[str, ...], rt_consumed: str = "") -> str:
         else ""
     )
     return f"""\
+if sample:
+{textwrap.indent(_tick(counters), "    ")}
 if sclass == 3:
-    if sample:
-{textwrap.indent(_tick(counters), "        ")}
     rrpv[slot] = 0
 elif sclass == 1:
     current = pstate[slot]
     if sample:
-{textwrap.indent(_tick(counters), "        ")}
         if current == 3:
 {textwrap.indent(_inc("fill_e0"), "            ")}
 {consumed}\
@@ -450,13 +445,10 @@ elif sclass == 1:
         rrpv[slot] = 0
         pstate[slot] = 2
 elif sclass == 2:
-    if sample:
-{textwrap.indent(_tick(counters), "        ")}
     pstate[slot] = 3
     rrpv[slot] = 0
 else:
     if sample:
-{textwrap.indent(_tick(counters), "        ")}
 {textwrap.indent(_inc("hit_z"), "        ")}
     rrpv[slot] = 0
 """

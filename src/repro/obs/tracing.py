@@ -3,7 +3,7 @@
 A :class:`TraceContext` identifies one *run* (a CLI invocation) and,
 inside a run, one *job attempt*.  It is created once at a CLI entry
 point (:meth:`TraceContext.new_run`), serialized into every worker
-payload (:mod:`repro.sweep` per-attempt processes, which also run
+payload (the worker processes of :mod:`repro.sweep`, which also run
 ``gspc-experiments --jobs``), and stamped on every span event, log
 record, and metrics dump those workers produce — so a merged timeline
 can always answer "which run, which job, which attempt, which process

@@ -12,8 +12,8 @@ address (:func:`repro.serve.store.result_key`); the service then
 * otherwise schedules one computation on a bounded worker pool.
 
 Computations run :func:`compute_sweep` — the exact
-:class:`~repro.sweep.exec.SweepRunner` + per-attempt worker-process
-stack ``gspc-sweep`` uses, journal included — in a pool thread, so the
+:class:`~repro.sweep.exec.SweepRunner` + worker-process stack
+``gspc-sweep`` uses, journal included — in a pool thread, so the
 event loop never blocks and a crash mid-computation leaves a resumable
 journal behind.  The finished payload is durably stored (WAL first)
 *before* the job flips to ``done``, which makes the service crash-safe

@@ -20,10 +20,11 @@ The runner is deliberately abstracted over *how* attempts execute (a
 ``Launcher``) and over *time* (injectable ``clock``/``sleep``), so unit
 tests pin the exact retry schedule and timeout behaviour with no real
 processes and no real sleeping.  Production uses
-:class:`ProcessLauncher`: one daemonic ``multiprocessing.Process`` per
-attempt — full isolation, so a crashing job can never take the
-orchestrator (or a pool) down with it — with results handed back
-through checksummed files (:mod:`repro.sweep.worker`).
+:class:`ProcessLauncher`: at most one long-lived worker process per
+slot, each running attempt after attempt until the run ends.  A job
+still runs outside the orchestrator, so a crashing job takes down only
+its own worker, which is replaced; results come back through
+checksummed files (:mod:`repro.sweep.worker`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import heapq
 import multiprocessing
 import multiprocessing.connection
 import os
+import threading
 import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -53,6 +55,8 @@ from repro.sweep.worker import (
 
 #: How long the scheduler sleeps between polls while attempts run.
 POLL_INTERVAL = 0.05
+#: How long an idle worker gets to exit after the run tells it to stop.
+SHUTDOWN_GRACE = 1.0
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -148,15 +152,62 @@ class SweepOutcome:
 
 # -- process-backed launcher --------------------------------------------------
 
+#: A worker's reply once an attempt's handoff file is written.
+_DONE = "done"
+
+
+def _exit_with_parent() -> None:
+    """End this worker as soon as its orchestrator is gone.
+
+    An orchestrator killed outright never sends the stop message, and a
+    busy worker would not read it; without this watch an idle worker,
+    reparented to init, would wait for work forever, and a busy one
+    would first run its job to the end.
+    """
+    multiprocessing.connection.wait([multiprocessing.parent_process().sentinel])
+    os._exit(1)
+
+
+def _serve_attempts(conn: multiprocessing.connection.Connection) -> None:
+    """A worker's life: run each ``(payload, out_path)`` it is sent,
+    answer ``"done"``, and return on ``None``.
+
+    ``run_job_in_worker`` is looked up in this module on every attempt,
+    so a wrapper installed there before the worker forked is honoured.
+    A job that raises or exits ends the worker with its exit code.
+    """
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
+    while True:
+        message = conn.recv()
+        if message is None:
+            return
+        run_job_in_worker(*message)
+        conn.send(_DONE)
+
+
+@dataclasses.dataclass(eq=False)
+class _Worker:
+    process: multiprocessing.Process
+    conn: multiprocessing.connection.Connection
+    #: Whether an attempt was sent and has no outcome yet.
+    busy: bool = False
+
+
 @dataclasses.dataclass
 class _ProcessHandle:
     job: SweepJob
-    process: multiprocessing.Process
+    worker: _Worker
     out_path: str
 
 
 class ProcessLauncher:
-    """One isolated process per attempt, results via checksummed files.
+    """Attempts on long-lived worker processes, results via checksummed files.
+
+    :meth:`start` hands an attempt to an idle worker and forks a new one
+    only when none is idle, so a runner with N slots never has more than
+    N workers.  A worker that dies fails its attempt as ``crash`` and is
+    replaced at the next start; :meth:`cancel` kills only the overdue
+    attempt's worker; :meth:`close` stops and reaps them all.
 
     ``spec`` supplies the run-wide scale, engine and trace source: a
     :class:`SweepSpec`, or the :class:`ExperimentConfig` of a
@@ -176,6 +227,32 @@ class ProcessLauncher:
         self.tmp_dir = tmp_dir
         self.fault = fault
         self.trace_ctx = trace_ctx
+        self._workers: List[_Worker] = []
+
+    def _idle_worker(self) -> _Worker:
+        """An idle live worker, forked anew when there is none."""
+        for worker in list(self._workers):
+            if not worker.busy:
+                if worker.process.is_alive():
+                    return worker
+                self._retire(worker)  # died while idle
+        conn, child_conn = multiprocessing.Pipe()
+        process = multiprocessing.Process(
+            target=_serve_attempts, args=(child_conn,), daemon=True
+        )
+        process.start()
+        child_conn.close()
+        worker = _Worker(process, conn)
+        self._workers.append(worker)
+        return worker
+
+    def _retire(self, worker: _Worker) -> None:
+        """Kill the worker if it still runs, reap it, and forget it."""
+        self._workers.remove(worker)
+        if worker.process.is_alive():
+            worker.process.kill()
+        worker.process.join()
+        worker.conn.close()
 
     def start(self, job: SweepJob, index: int, attempt: int) -> _ProcessHandle:
         inject = None
@@ -199,61 +276,82 @@ class ProcessLauncher:
         payload = job_payload(
             job, self.spec, self.cache_dir, inject, hang_seconds, child_ctx
         )
-        process = multiprocessing.Process(
-            target=run_job_in_worker, args=(payload, out_path), daemon=True
-        )
-        process.start()
-        return _ProcessHandle(job, process, out_path)
+        worker = self._idle_worker()
+        worker.busy = True
+        try:
+            worker.conn.send((payload, out_path))
+        except OSError:
+            pass  # it died since the check: poll() reports the crash
+        return _ProcessHandle(job, worker, out_path)
 
     def poll(self, handle: _ProcessHandle) -> Optional[AttemptResult]:
-        if handle.process.is_alive():
-            return None
-        handle.process.join()
-        exitcode = handle.process.exitcode
+        worker = handle.worker
         try:
-            if exitcode != 0:
-                return AttemptResult(
-                    ok=False,
-                    kind="crash",
-                    error=f"worker exited with code {exitcode}",
-                )
-            try:
-                envelope = load_result(handle.out_path, handle.job.job_id)
-            except SweepError as exc:
-                return AttemptResult(ok=False, kind="corrupt", error=str(exc))
-            events = envelope.get("events")
-            spans = envelope.get("spans")
-            return AttemptResult(
-                ok=True,
-                payload=envelope["payload"],  # type: ignore[arg-type]
-                seconds=float(envelope.get("seconds", 0.0)),  # type: ignore[arg-type]
-                pid=int(envelope.get("pid", 0) or 0),  # type: ignore[arg-type]
-                spans=spans if isinstance(spans, dict) else None,
-                events=list(events) if isinstance(events, list) else [],
-                pickled=envelope.get("value"),  # type: ignore[arg-type]
+            done = worker.conn.poll() and worker.conn.recv() == _DONE
+        except (EOFError, OSError):
+            done = False
+        if done:
+            worker.busy = False
+            result = self._load(handle)
+        elif worker.process.is_alive():
+            return None
+        else:
+            self._retire(worker)
+            result = AttemptResult(
+                ok=False,
+                kind="crash",
+                error=f"worker exited with code {worker.process.exitcode}",
             )
-        finally:
-            if os.path.exists(handle.out_path):
-                os.unlink(handle.out_path)
+        # Only now that the attempt has an outcome: a worker may write
+        # the file well before its "done" arrives.
+        if os.path.exists(handle.out_path):
+            os.unlink(handle.out_path)
+        return result
+
+    @staticmethod
+    def _load(handle: _ProcessHandle) -> AttemptResult:
+        try:
+            envelope = load_result(handle.out_path, handle.job.job_id)
+        except SweepError as exc:
+            return AttemptResult(ok=False, kind="corrupt", error=str(exc))
+        events = envelope.get("events")
+        spans = envelope.get("spans")
+        return AttemptResult(
+            ok=True,
+            payload=envelope["payload"],  # type: ignore[arg-type]
+            seconds=float(envelope.get("seconds", 0.0)),  # type: ignore[arg-type]
+            pid=int(envelope.get("pid", 0) or 0),  # type: ignore[arg-type]
+            spans=spans if isinstance(spans, dict) else None,
+            events=list(events) if isinstance(events, list) else [],
+            pickled=envelope.get("value"),  # type: ignore[arg-type]
+        )
 
     def cancel(self, handle: _ProcessHandle) -> None:
-        handle.process.terminate()
-        handle.process.join(1.0)
-        if handle.process.is_alive():
-            handle.process.kill()
-            handle.process.join()
+        self._retire(handle.worker)
         if os.path.exists(handle.out_path):
             os.unlink(handle.out_path)
 
     def wait(self, handles: Sequence[_ProcessHandle], timeout: float) -> None:
-        """Block until a worker exits or ``timeout`` elapses."""
-        sentinels = [
-            handle.process.sentinel
-            for handle in handles
-            if handle.process.is_alive()
-        ]
-        if sentinels:
-            multiprocessing.connection.wait(sentinels, timeout=timeout)
+        """Block until a worker answers "done" or exits, or ``timeout``
+        elapses."""
+        multiprocessing.connection.wait(
+            [handle.worker.conn for handle in handles]
+            + [handle.worker.process.sentinel for handle in handles],
+            timeout=timeout,
+        )
+
+    def close(self) -> None:
+        """Stop every worker and reap it; a busy one is killed."""
+        idle = [worker for worker in self._workers if not worker.busy]
+        for worker in idle:
+            try:
+                worker.conn.send(None)
+            except OSError:
+                pass  # already gone
+        for worker in idle:
+            worker.process.join(SHUTDOWN_GRACE)
+        for worker in list(self._workers):
+            self._retire(worker)
 
 
 # -- the scheduler ------------------------------------------------------------
@@ -340,6 +438,16 @@ class SweepRunner:
         self.spans.add_events([attempt_span, *result.events])
 
     def run(self, resume: Optional[JournalState] = None) -> SweepOutcome:
+        """Drive the plan to completion; the launcher's workers are
+        stopped and reaped before this returns or raises."""
+        try:
+            return self._drive(resume)
+        finally:
+            close = getattr(self.launcher, "close", None)
+            if close is not None:
+                close()
+
+    def _drive(self, resume: Optional[JournalState]) -> SweepOutcome:
         started = self.clock()
         index_of = {
             job.job_id: ordinal

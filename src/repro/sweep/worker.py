@@ -38,8 +38,8 @@ from repro.sweep.journal import canonical_json, checksum, write_atomic
 from repro.sweep.spec import SweepJob, SweepSpec
 
 # Resolving a synthetic frame imports the workload families lazily;
-# importing them here means every forked attempt inherits them instead
-# of paying that import (~10 ms) once per attempt.
+# importing them here means a worker forked from the orchestrator
+# inherits them instead of paying that import (~10 ms) in its first job.
 import repro.workloads.families  # noqa: F401
 
 #: Result-envelope schema version.

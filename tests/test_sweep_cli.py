@@ -190,10 +190,9 @@ def test_fault_spec_honoured_from_environment(tmp_path, cache_dir, monkeypatch):
 
 
 def test_traced_parallel_sweep_acceptance(tmp_path, cache_dir):
-    """The PR's acceptance criterion: a --jobs >= 2 sweep with
-    --trace-out produces one Chrome/Perfetto-loadable trace that
-    validates, with spans from >= 2 distinct worker pids all correlated
-    to the parent run id."""
+    """A --jobs 2 sweep with --trace-out produces one
+    Chrome/Perfetto-loadable trace that validates, with spans from
+    exactly its 2 worker pids, all correlated to the parent run id."""
     from repro.obs.traceexport import load_trace_file, validate_trace
 
     out = str(tmp_path / "sweep")
@@ -217,10 +216,8 @@ def test_traced_parallel_sweep_acceptance(tmp_path, cache_dir):
                 or e["name"].startswith("trace:")]
     assert len(attempts) == 3  # 1 trace + 2 sims
     assert all(e["pid"] == orchestrator_pid for e in attempts)
-    # Worker spans come from the per-attempt processes: every attempt
-    # is its own process, so three jobs mean >= 2 distinct worker pids.
     worker_pids = {e["pid"] for e in spans} - {orchestrator_pid}
-    assert len(worker_pids) >= 2
+    assert len(worker_pids) == 2
     # Every span that names a run belongs to this run.
     assert {e["args"]["run_id"] for e in spans
             if "run_id" in e["args"]} == {run_id}
