@@ -22,6 +22,7 @@ from repro.experiments.common import (
     ExperimentConfig,
     frame_result,
     frame_trace,
+    normalized_misses,
     register,
 )
 from repro.sim.offline import simulate_trace
@@ -109,13 +110,7 @@ def _vs_drrip(
     policy: str, frames: Sequence[FrameSpec], config: ExperimentConfig
 ) -> float:
     """Mean over ``frames`` of ``policy``'s misses normalized to DRRIP's."""
-    ratios = []
-    for spec in frames:
-        baseline = frame_result(spec, "drrip", config)
-        ratios.append(
-            frame_result(spec, policy, config).misses_normalized_to(baseline)
-        )
-    return mean(ratios)
+    return mean([normalized_misses(spec, [policy], config)[0] for spec in frames])
 
 
 def _render_cache_ablation(config: ExperimentConfig) -> Table:

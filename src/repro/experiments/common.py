@@ -7,6 +7,8 @@
 * Result caching — offline simulation results are memoised in-process so
   experiments that share (frame, policy) runs do not recompute them;
   the timing experiments also share whole replay records.
+* The per-application table rule (:func:`app_table`) and misses
+  normalized to DRRIP's (:func:`normalized_misses`).
 * The experiment registry used by the CLI runner and the benchmarks.
 """
 
@@ -17,7 +19,7 @@ import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.characterize import FrameCharacterization, characterize_frame
-from repro.analysis.tables import Table
+from repro.analysis.tables import Table, mean
 from repro.config import DEFAULT_SCALE, LLCConfig, SystemConfig, paper_baseline
 from repro.core.registry import policy_spec
 from repro.errors import ConfigError, ReproError
@@ -214,13 +216,43 @@ def clear_result_caches() -> None:
     _REPLAY_CACHE.clear()
 
 
-def group_frames_by_app(
+# -- per-application tables ------------------------------------------------------
+
+def app_table(
+    title: str,
+    headers: Sequence[str],
     frames: Sequence[FrameSpec],
-) -> Dict[str, List[FrameSpec]]:
-    grouped: Dict[str, List[FrameSpec]] = {}
+    cells: Callable[[FrameSpec], Sequence[Optional[float]]],
+) -> Table:
+    """The paper's per-application table: one ``Application`` row per
+    app, then ``Average``.
+
+    ``cells(spec)`` gives one frame's values under ``headers`` and runs
+    once per frame.  An application's row is the :func:`mean` of each
+    column over its frames; ``Average`` is the mean over every frame,
+    not over the application rows.
+    """
+    by_app: Dict[str, List[Sequence[Optional[float]]]] = {}
     for spec in frames:
-        grouped.setdefault(spec.app.abbrev, []).append(spec)
-    return grouped
+        by_app.setdefault(spec.app.abbrev, []).append(cells(spec))
+    every = [row for rows in by_app.values() for row in rows]
+    table = Table(title, ["Application"] + list(headers))
+    for label, rows in [*by_app.items(), ("Average", every)]:
+        table.add_row(
+            label, *[mean([row[i] for row in rows]) for i in range(len(headers))]
+        )
+    return table
+
+
+def normalized_misses(
+    spec: FrameSpec, policies: Sequence[str], config: ExperimentConfig
+) -> List[float]:
+    """Each policy's misses on one frame divided by DRRIP's."""
+    baseline = frame_result(spec, "drrip", config)
+    return [
+        frame_result(spec, policy, config).misses_normalized_to(baseline)
+        for policy in policies
+    ]
 
 
 # -- experiment registry -----------------------------------------------------------

@@ -14,12 +14,17 @@ from __future__ import annotations
 from typing import List
 
 from repro.analysis.tables import Table, mean
-from repro.experiments.common import ExperimentConfig, frame_result, register
+from repro.experiments.common import (
+    ExperimentConfig,
+    app_table,
+    normalized_misses,
+    register,
+)
 from repro.sim.offline import simulate_trace
-from repro.workloads.apps import ALL_APPS
+from repro.workloads.apps import ALL_APPS, FrameSpec
 from repro.workloads.sequence import generate_sequence_trace
 
-SEQ_POLICIES = ("drrip", "nru", "gspztc+tse", "gspc+ucd", "belady")
+SEQ_POLICIES = ("nru", "gspztc+tse", "gspc+ucd", "belady")
 
 
 @register(
@@ -38,33 +43,27 @@ def run(config: ExperimentConfig) -> List[Table]:
         ["Policy", "Normalized misses"],
     )
     for policy in ("gspc", "gspc+bypass", "gspc+ucd", "gspc+bypass+ucd"):
-        ratios = []
-        for spec in frames:
-            baseline = frame_result(spec, "drrip", config)
-            ratios.append(
-                frame_result(spec, policy, config).misses_normalized_to(baseline)
-            )
+        ratios = [normalized_misses(spec, [policy], config)[0] for spec in frames]
         bypass.add_row(policy.upper(), mean(ratios))
 
-    sequences = Table(
-        "Extension B: two-frame animation sequences "
-        "(misses normalized to DRRIP)",
-        ["Application"] + [p.upper() for p in SEQ_POLICIES if p != "drrip"],
-    )
-    totals = {policy: [] for policy in SEQ_POLICIES if policy != "drrip"}
     llc = config.llc()
-    for app in ALL_APPS[:: max(1, len(ALL_APPS) // 6)]:
-        trace = generate_sequence_trace(app, num_frames=2, scale=config.scale)
+
+    def sequence_ratios(spec):
+        trace = generate_sequence_trace(spec.app, num_frames=2, scale=config.scale)
         baseline = simulate_trace(trace, "drrip", llc, engine=config.engine)
-        row = [app.abbrev]
-        for policy in totals:
-            ratio = simulate_trace(
+        return [
+            simulate_trace(
                 trace, policy, llc, engine=config.engine
             ).misses_normalized_to(baseline)
-            totals[policy].append(ratio)
-            row.append(ratio)
-        sequences.add_row(*row)
-    sequences.add_row(
-        "Average", *[mean(totals[policy]) for policy in totals]
+            for policy in SEQ_POLICIES
+        ]
+
+    sequences = app_table(
+        "Extension B: two-frame animation sequences "
+        "(misses normalized to DRRIP)",
+        [p.upper() for p in SEQ_POLICIES],
+        # Each sampled app's sequence starts at its frame 0.
+        [FrameSpec(app, 0) for app in ALL_APPS[:: max(1, len(ALL_APPS) // 6)]],
+        sequence_ratios,
     )
     return [bypass, sequences]

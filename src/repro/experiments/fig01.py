@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.tables import Table, mean
+from repro.analysis.tables import Table
 from repro.experiments.common import (
     ExperimentConfig,
-    frame_result,
-    group_frames_by_app,
+    app_table,
+    normalized_misses,
     register,
 )
 
@@ -26,24 +26,11 @@ POLICIES = ("nru", "belady")
     sim_policies=("drrip",) + POLICIES,
 )
 def run(config: ExperimentConfig) -> List[Table]:
-    table = Table(
+    table = app_table(
         "Figure 1: LLC misses normalized to two-bit DRRIP",
-        ["Application", "NRU", "Belady-OPT"],
+        ["NRU", "Belady-OPT"],
+        config.frames(),
+        lambda spec: normalized_misses(spec, POLICIES, config),
     )
-    columns = {policy: [] for policy in POLICIES}
-    for app, frames in group_frames_by_app(config.frames()).items():
-        per_policy = {policy: [] for policy in POLICIES}
-        for spec in frames:
-            baseline = frame_result(spec, "drrip", config)
-            for policy in POLICIES:
-                ratio = frame_result(spec, policy, config).misses_normalized_to(
-                    baseline
-                )
-                per_policy[policy].append(ratio)
-        row = [app] + [mean(per_policy[policy]) for policy in POLICIES]
-        for policy in POLICIES:
-            columns[policy].extend(per_policy[policy])
-        table.add_row(*row)
-    table.add_row("Average", *[mean(columns[policy]) for policy in POLICIES])
     table.notes.append("values < 1.0 mean fewer LLC misses than DRRIP")
     return [table]

@@ -8,13 +8,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.tables import Table, mean
-from repro.experiments.common import (
-    ExperimentConfig,
-    frame_trace,
-    group_frames_by_app,
-    register,
-)
+from repro.analysis.tables import Table
+from repro.experiments.common import ExperimentConfig, app_table, frame_trace, register
 from repro.streams import ALL_STREAMS
 from repro.trace.stats import compute_trace_stats
 
@@ -25,18 +20,15 @@ from repro.trace.stats import compute_trace_stats
     "RT ~40%, TEX ~34%, Z >=10%, HiZ ~7%, VTX ~4%, rest ~2%.",
 )
 def run(config: ExperimentConfig) -> List[Table]:
-    headers = ["Application"] + [s.short_name for s in ALL_STREAMS]
-    table = Table("Figure 4: LLC access mix (%)", headers)
-    totals = {stream: [] for stream in ALL_STREAMS}
-    for app, frames in group_frames_by_app(config.frames()).items():
-        per_stream = {stream: [] for stream in ALL_STREAMS}
-        for spec in frames:
-            stats = compute_trace_stats(frame_trace(spec, config))
-            for stream in ALL_STREAMS:
-                per_stream[stream].append(100.0 * stats.stream_fraction(stream))
-        row = [app] + [mean(per_stream[stream]) for stream in ALL_STREAMS]
-        for stream in ALL_STREAMS:
-            totals[stream].extend(per_stream[stream])
-        table.add_row(*row)
-    table.add_row("Average", *[mean(totals[stream]) for stream in ALL_STREAMS])
-    return [table]
+    def mix(spec):
+        stats = compute_trace_stats(frame_trace(spec, config))
+        return [100.0 * stats.stream_fraction(stream) for stream in ALL_STREAMS]
+
+    return [
+        app_table(
+            "Figure 4: LLC access mix (%)",
+            [stream.short_name for stream in ALL_STREAMS],
+            config.frames(),
+            mix,
+        )
+    ]

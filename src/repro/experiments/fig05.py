@@ -8,13 +8,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.tables import Table, mean
-from repro.experiments.common import (
-    ExperimentConfig,
-    frame_result,
-    group_frames_by_app,
-    register,
-)
+from repro.analysis.tables import Table
+from repro.experiments.common import ExperimentConfig, app_table, frame_result, register
 
 POLICIES = ("belady", "drrip", "nru")
 PANELS = (
@@ -32,25 +27,18 @@ PANELS = (
     sim_policies=POLICIES,
 )
 def run(config: ExperimentConfig) -> List[Table]:
-    tables: List[Table] = []
-    grouped = group_frames_by_app(config.frames())
-    for attribute, label in PANELS:
-        table = Table(
+    def hit_rates(attribute):
+        return lambda spec: [
+            100.0 * getattr(frame_result(spec, policy, config).stats, attribute)
+            for policy in POLICIES
+        ]
+
+    return [
+        app_table(
             f"Figure 5 ({label} hit rate, %)",
-            ["Application"] + [p.upper() for p in POLICIES],
+            [policy.upper() for policy in POLICIES],
+            config.frames(),
+            hit_rates(attribute),
         )
-        totals = {policy: [] for policy in POLICIES}
-        for app, frames in grouped.items():
-            per_policy = {policy: [] for policy in POLICIES}
-            for spec in frames:
-                for policy in POLICIES:
-                    stats = frame_result(spec, policy, config).stats
-                    per_policy[policy].append(100.0 * getattr(stats, attribute))
-            table.add_row(
-                app, *[mean(per_policy[policy]) for policy in POLICIES]
-            )
-            for policy in POLICIES:
-                totals[policy].extend(per_policy[policy])
-        table.add_row("Average", *[mean(totals[policy]) for policy in POLICIES])
-        tables.append(table)
-    return tables
+        for attribute, label in PANELS
+    ]

@@ -11,13 +11,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.tables import Table, mean
-from repro.experiments.common import (
-    ExperimentConfig,
-    frame_result,
-    group_frames_by_app,
-    register,
-)
+from repro.analysis.tables import Table
+from repro.experiments.common import ExperimentConfig, app_table, frame_result, register
 
 POLICIES = ("belady", "drrip", "nru")
 
@@ -30,43 +25,31 @@ POLICIES = ("belady", "drrip", "nru")
     sim_policies=POLICIES,
 )
 def run(config: ExperimentConfig) -> List[Table]:
-    grouped = group_frames_by_app(config.frames())
-    upper = Table(
+    frames = config.frames()
+
+    def reuse_split(spec):
+        opt = frame_result(spec, "belady", config).stats
+        opt_hits = max(1, opt.tex_inter_hits + opt.tex_intra_hits)
+        cells = []
+        for policy in POLICIES:
+            stats = frame_result(spec, policy, config).stats
+            cells += [stats.tex_inter_hits / opt_hits, stats.tex_intra_hits / opt_hits]
+        return cells
+
+    upper = app_table(
         "Figure 6 upper: texture hits by reuse type "
         "(fraction of OPT's texture hits)",
-        ["Application"]
-        + [f"{p.upper()}-{kind}" for p in POLICIES for kind in ("inter", "intra")],
+        [f"{p.upper()}-{kind}" for p in POLICIES for kind in ("inter", "intra")],
+        frames,
+        reuse_split,
     )
-    lower = Table(
+    lower = app_table(
         "Figure 6 lower: render targets consumed as texture (%)",
-        ["Application"] + [p.upper() for p in POLICIES],
+        [p.upper() for p in POLICIES],
+        frames,
+        lambda spec: [
+            100.0 * frame_result(spec, policy, config).stats.rt_consumption_rate
+            for policy in POLICIES
+        ],
     )
-    upper_totals = {(p, k): [] for p in POLICIES for k in ("inter", "intra")}
-    lower_totals = {policy: [] for policy in POLICIES}
-    for app, frames in grouped.items():
-        upper_app = {key: [] for key in upper_totals}
-        lower_app = {policy: [] for policy in POLICIES}
-        for spec in frames:
-            opt_hits = max(
-                1,
-                frame_result(spec, "belady", config).stats.tex_inter_hits
-                + frame_result(spec, "belady", config).stats.tex_intra_hits,
-            )
-            for policy in POLICIES:
-                stats = frame_result(spec, policy, config).stats
-                upper_app[(policy, "inter")].append(
-                    stats.tex_inter_hits / opt_hits
-                )
-                upper_app[(policy, "intra")].append(
-                    stats.tex_intra_hits / opt_hits
-                )
-                lower_app[policy].append(100.0 * stats.rt_consumption_rate)
-        upper.add_row(app, *[mean(upper_app[key]) for key in upper_totals])
-        lower.add_row(app, *[mean(lower_app[policy]) for policy in POLICIES])
-        for key in upper_totals:
-            upper_totals[key].extend(upper_app[key])
-        for policy in POLICIES:
-            lower_totals[policy].extend(lower_app[policy])
-    upper.add_row("Average", *[mean(upper_totals[key]) for key in upper_totals])
-    lower.add_row("Average", *[mean(lower_totals[policy]) for policy in POLICIES])
     return [upper, lower]

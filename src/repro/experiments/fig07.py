@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.tables import Table, mean
+from repro.analysis.tables import Table
 from repro.experiments.common import (
     ExperimentConfig,
+    app_table,
     frame_characterization,
-    group_frames_by_app,
     register,
 )
 
@@ -28,33 +28,21 @@ EPOCH_LABELS = ("E0", "E1", "E2", "E>=3")
     char_policies=("belady",),
 )
 def run(config: ExperimentConfig) -> List[Table]:
-    grouped = group_frames_by_app(config.frames())
-    upper = Table(
+    frames = config.frames()
+
+    def epochs(spec):
+        return frame_characterization(spec, "belady", config).tex_epochs
+
+    upper = app_table(
         "Figure 7 upper: intra-stream texture hits by epoch (%)",
-        ["Application"] + list(EPOCH_LABELS),
+        EPOCH_LABELS,
+        frames,
+        lambda spec: [100.0 * share for share in epochs(spec).hit_distribution()],
     )
-    lower = Table(
+    lower = app_table(
         "Figure 7 lower: texture epoch death ratios",
-        ["Application", "E0", "E1", "E2"],
+        ["E0", "E1", "E2"],
+        frames,
+        lambda spec: [epochs(spec).death_ratio(epoch) for epoch in range(3)],
     )
-    hit_totals = [[] for _ in EPOCH_LABELS]
-    death_totals = [[] for _ in range(3)]
-    for app, frames in grouped.items():
-        hits_app = [[] for _ in EPOCH_LABELS]
-        deaths_app = [[] for _ in range(3)]
-        for spec in frames:
-            epochs = frame_characterization(spec, "belady", config).tex_epochs
-            distribution = epochs.hit_distribution()
-            for index in range(len(EPOCH_LABELS)):
-                hits_app[index].append(100.0 * distribution[index])
-            for epoch in range(3):
-                deaths_app[epoch].append(epochs.death_ratio(epoch))
-        upper.add_row(app, *[mean(h) for h in hits_app])
-        lower.add_row(app, *[mean(d) for d in deaths_app])
-        for index in range(len(EPOCH_LABELS)):
-            hit_totals[index].extend(hits_app[index])
-        for epoch in range(3):
-            death_totals[epoch].extend(deaths_app[epoch])
-    upper.add_row("Average", *[mean(h) for h in hit_totals])
-    lower.add_row("Average", *[mean(d) for d in death_totals])
     return [upper, lower]

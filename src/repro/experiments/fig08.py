@@ -9,13 +9,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.tables import Table, mean
-from repro.experiments.common import (
-    ExperimentConfig,
-    frame_result,
-    group_frames_by_app,
-    register,
-)
+from repro.analysis.tables import Table
+from repro.experiments.common import ExperimentConfig, app_table, frame_result, register
 from repro.streams import StreamClass
 
 
@@ -27,21 +22,18 @@ from repro.streams import StreamClass
     sim_policies=("drrip",),
 )
 def run(config: ExperimentConfig) -> List[Table]:
-    table = Table(
-        "Figure 8: fills at RRPV=3 in two-bit DRRIP (%)",
-        ["Application", "RT fills", "TEX fills"],
-    )
-    rt_totals, tex_totals = [], []
-    for app, frames in group_frames_by_app(config.frames()).items():
-        rt_app, tex_app = [], []
-        for spec in frames:
-            fractions = frame_result(spec, "drrip", config).extras[
-                "fill_distant_fraction"
-            ]
-            rt_app.append(100.0 * fractions[StreamClass.RT.name])
-            tex_app.append(100.0 * fractions[StreamClass.TEX.name])
-        table.add_row(app, mean(rt_app), mean(tex_app))
-        rt_totals.extend(rt_app)
-        tex_totals.extend(tex_app)
-    table.add_row("Average", mean(rt_totals), mean(tex_totals))
-    return [table]
+    def distant_fills(spec):
+        fractions = frame_result(spec, "drrip", config).extras["fill_distant_fraction"]
+        return [
+            100.0 * fractions[StreamClass.RT.name],
+            100.0 * fractions[StreamClass.TEX.name],
+        ]
+
+    return [
+        app_table(
+            "Figure 8: fills at RRPV=3 in two-bit DRRIP (%)",
+            ["RT fills", "TEX fills"],
+            config.frames(),
+            distant_fills,
+        )
+    ]

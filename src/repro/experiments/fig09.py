@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.tables import Table, mean
+from repro.analysis.tables import Table
 from repro.experiments.common import (
     ExperimentConfig,
+    app_table,
     frame_characterization,
-    group_frames_by_app,
     register,
 )
 
@@ -25,19 +25,15 @@ from repro.experiments.common import (
     char_policies=("belady",),
 )
 def run(config: ExperimentConfig) -> List[Table]:
-    table = Table(
-        "Figure 9: Z epoch death ratios (Belady's OPT)",
-        ["Application", "E0", "E1", "E2"],
-    )
-    totals = [[] for _ in range(3)]
-    for app, frames in group_frames_by_app(config.frames()).items():
-        per_epoch = [[] for _ in range(3)]
-        for spec in frames:
-            epochs = frame_characterization(spec, "belady", config).z_epochs
-            for epoch in range(3):
-                per_epoch[epoch].append(epochs.death_ratio(epoch))
-        table.add_row(app, *[mean(values) for values in per_epoch])
-        for epoch in range(3):
-            totals[epoch].extend(per_epoch[epoch])
-    table.add_row("Average", *[mean(values) for values in totals])
-    return [table]
+    def death_ratios(spec):
+        epochs = frame_characterization(spec, "belady", config).z_epochs
+        return [epochs.death_ratio(epoch) for epoch in range(3)]
+
+    return [
+        app_table(
+            "Figure 9: Z epoch death ratios (Belady's OPT)",
+            ["E0", "E1", "E2"],
+            config.frames(),
+            death_ratios,
+        )
+    ]

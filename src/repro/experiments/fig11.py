@@ -9,14 +9,9 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.tables import Table, mean
+from repro.analysis.tables import Table
 from repro.core.registry import policy_spec
-from repro.experiments.common import (
-    ExperimentConfig,
-    frame_result,
-    group_frames_by_app,
-    register,
-)
+from repro.experiments.common import ExperimentConfig, app_table, frame_result, register
 
 T_VALUES = (2, 4, 8, 16)
 REFERENCE_T = 16
@@ -32,24 +27,19 @@ POLICIES = {t: policy_spec(f"gspztc(t={t})").name for t in T_VALUES}
     sim_policies=tuple(POLICIES.values()),
 )
 def run(config: ExperimentConfig) -> List[Table]:
-    table = Table(
+    def percent_change(spec):
+        misses = {
+            t: frame_result(spec, policy, config).misses
+            for t, policy in POLICIES.items()
+        }
+        reference = max(1, misses[REFERENCE_T])
+        return [100.0 * (misses[t] - reference) / reference for t in T_VALUES]
+
+    table = app_table(
         "Figure 11: percent change in LLC misses vs t=16 (GSPZTC)",
-        ["Application"] + [f"t={t}" for t in T_VALUES],
+        [f"t={t}" for t in T_VALUES],
+        config.frames(),
+        percent_change,
     )
-    totals = {t: [] for t in T_VALUES}
-    for app, frames in group_frames_by_app(config.frames()).items():
-        per_t = {t: [] for t in T_VALUES}
-        for spec in frames:
-            misses = {
-                t: frame_result(spec, policy, config).misses
-                for t, policy in POLICIES.items()
-            }
-            reference = max(1, misses[REFERENCE_T])
-            for t in T_VALUES:
-                per_t[t].append(100.0 * (misses[t] - reference) / reference)
-        table.add_row(app, *[mean(per_t[t]) for t in T_VALUES])
-        for t in T_VALUES:
-            totals[t].extend(per_t[t])
-    table.add_row("Average", *[mean(totals[t]) for t in T_VALUES])
     table.notes.append("positive = more misses than t=16")
     return [table]

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.tables import Table, mean
+from repro.analysis.tables import Table
 from repro.experiments.common import (
     ExperimentConfig,
-    frame_result,
-    group_frames_by_app,
+    app_table,
+    normalized_misses,
     register,
 )
 
@@ -37,24 +37,11 @@ POLICIES = (
     sim_policies=("drrip",) + POLICIES,
 )
 def run(config: ExperimentConfig) -> List[Table]:
-    table = Table(
+    table = app_table(
         "Figure 12: LLC misses normalized to DRRIP",
-        ["Application"] + [p.upper() for p in POLICIES],
+        [p.upper() for p in POLICIES],
+        config.frames(),
+        lambda spec: normalized_misses(spec, POLICIES, config),
     )
-    totals = {policy: [] for policy in POLICIES}
-    for app, frames in group_frames_by_app(config.frames()).items():
-        per_policy = {policy: [] for policy in POLICIES}
-        for spec in frames:
-            baseline = frame_result(spec, "drrip", config)
-            for policy in POLICIES:
-                per_policy[policy].append(
-                    frame_result(spec, policy, config).misses_normalized_to(
-                        baseline
-                    )
-                )
-        table.add_row(app, *[mean(per_policy[policy]) for policy in POLICIES])
-        for policy in POLICIES:
-            totals[policy].extend(per_policy[policy])
-    table.add_row("Average", *[mean(totals[policy]) for policy in POLICIES])
     table.notes.append("values < 1.0 mean fewer LLC misses than DRRIP")
     return [table]

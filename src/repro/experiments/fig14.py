@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.tables import Table, mean
+from repro.analysis.tables import Table
 from repro.experiments.common import (
     ExperimentConfig,
-    frame_result,
-    group_frames_by_app,
+    app_table,
+    normalized_misses,
     register,
 )
 
@@ -29,24 +29,12 @@ POLICIES = ("lru", "drrip4", "gs-drrip4", "gspc+ucd")
     sim_policies=("drrip",) + POLICIES,
 )
 def run(config: ExperimentConfig) -> List[Table]:
-    table = Table(
-        "Figure 14: LLC misses normalized to two-bit DRRIP "
-        "(iso-overhead: 4 state bits/block)",
-        ["Application"] + [p.upper() for p in POLICIES],
-    )
-    totals = {policy: [] for policy in POLICIES}
-    for app, frames in group_frames_by_app(config.frames()).items():
-        per_policy = {policy: [] for policy in POLICIES}
-        for spec in frames:
-            baseline = frame_result(spec, "drrip", config)
-            for policy in POLICIES:
-                per_policy[policy].append(
-                    frame_result(spec, policy, config).misses_normalized_to(
-                        baseline
-                    )
-                )
-        table.add_row(app, *[mean(per_policy[policy]) for policy in POLICIES])
-        for policy in POLICIES:
-            totals[policy].extend(per_policy[policy])
-    table.add_row("Average", *[mean(totals[policy]) for policy in POLICIES])
-    return [table]
+    return [
+        app_table(
+            "Figure 14: LLC misses normalized to two-bit DRRIP "
+            "(iso-overhead: 4 state bits/block)",
+            [p.upper() for p in POLICIES],
+            config.frames(),
+            lambda spec: normalized_misses(spec, POLICIES, config),
+        )
+    ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -211,9 +211,3 @@ def simulate_frame_timing(
     """Convenience wrapper around :class:`FrameTimingSimulator`."""
     return FrameTimingSimulator(system or SystemConfig()).run(trace, policy)
 
-
-def average_fps(timings: Iterable[FrameTiming]) -> float:
-    """Average full-scale FPS over frames (harmonic would overweight
-    slow frames; the paper reports plain per-frame averages)."""
-    values = [timing.fps_full_scale for timing in timings]
-    return sum(values) / len(values) if values else 0.0

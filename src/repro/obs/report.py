@@ -23,13 +23,13 @@ found or unreadable input, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro import wal
 from repro.analysis.tables import Table
-from repro.errors import ObservabilityError, ReproError
+from repro.errors import ObservabilityError, ReproError, WALError
 from repro.obs import log as obs_log
 from repro.obs.manifest import load_manifest, validate_manifest
 from repro.obs.traceexport import is_trace, validate_trace
@@ -54,32 +54,16 @@ class RunData:
         return not (self.manifests or self.traces or self.journals)
 
 
-def _read_journal(path: str) -> List[Dict[str, object]]:
-    """Verified journal records, in append order (rejects skipped)."""
-    from repro.sweep.journal import verify
-
-    records: List[Dict[str, object]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            record = verify(data)
-            if record is not None:
-                records.append(record)
-    return records
-
-
 def _collect_file(path: str, data: RunData, explicit: bool = True) -> None:
     if path.endswith(".jsonl"):
+        from repro.sweep.journal import verify
+
         try:
-            data.journals.append((path, _read_journal(path)))
-        except OSError as exc:
-            data.problems.append(f"{path}: {exc}")
+            records = wal.replay(path, validator=verify).records
+        except WALError as exc:
+            data.problems.append(str(exc))
+        else:
+            data.journals.append((path, records))
         return
     try:
         parsed = load_manifest(path)
@@ -104,26 +88,33 @@ def _collect_file(path: str, data: RunData, explicit: bool = True) -> None:
         data.manifests.append((path, parsed))
 
 
-def _collect_dir(directory: str, data: RunData) -> None:
-    """A sweep directory, or any directory holding manifests/traces."""
-    for name in sorted(os.listdir(directory)):
-        path = os.path.join(directory, name)
-        if not os.path.isfile(path):
-            continue
-        if name.endswith(".jsonl") or name.endswith(".json"):
-            _collect_file(path, data, explicit=False)
-
-
 def collect(paths: Sequence[str]) -> RunData:
-    """Sniff every input path into manifests, traces and journals."""
+    """Sniff every input path into manifests, traces and journals.
+
+    A directory contributes its ``.json``/``.jsonl`` files (a sweep
+    directory, or any directory of manifests and traces).  Each file is
+    read once, however many inputs name it.
+    """
     data = RunData()
+    files: Dict[str, Tuple[str, bool]] = {}  # realpath -> (path, explicit)
+
+    def add(path: str, explicit: bool) -> None:
+        key = os.path.realpath(path)
+        first, named = files.get(key, (path, False))
+        files[key] = (first, named or explicit)
+
     for path in paths:
         if os.path.isdir(path):
-            _collect_dir(path, data)
+            for name in sorted(os.listdir(path)):
+                child = os.path.join(path, name)
+                if name.endswith((".json", ".jsonl")) and os.path.isfile(child):
+                    add(child, False)
         elif os.path.isfile(path):
-            _collect_file(path, data)
+            add(path, True)
         else:
             data.problems.append(f"no such file or directory: {path}")
+    for path, explicit in files.values():
+        _collect_file(path, data, explicit=explicit)
     return data
 
 
@@ -347,11 +338,22 @@ def _throughput(data: RunData) -> Optional[Table]:
     return table
 
 
+def _union_length(intervals: List[Tuple[float, float]]) -> float:
+    """Total length covered by ``(start, end)`` intervals."""
+    total, reach = 0.0, float("-inf")
+    for begin, end in sorted(intervals):
+        if end > reach:
+            total += end - max(begin, reach)
+            reach = end
+    return total
+
+
 def _utilization(data: RunData) -> Optional[Table]:
     """Per-pid busy time from trace root spans vs. the run's wall span."""
     if not data.traces:
         return None
-    busy: Dict[int, List[float]] = {}  # pid -> [events, busy_us]
+    spans: Dict[int, int] = {}
+    roots: Dict[int, List[Tuple[float, float]]] = {}
     start: Optional[float] = None
     end: Optional[float] = None
     names: Dict[int, str] = {}
@@ -369,30 +371,31 @@ def _utilization(data: RunData) -> Optional[Table]:
             end = ts + dur if end is None else max(end, ts + dur)
             args = event.get("args") or {}
             path = str(args.get("path", event.get("name", "?")))
-            entry = busy.setdefault(pid, [0, 0.0])
-            entry[0] += 1
-            # Only root spans count as busy time — nested spans overlap
-            # their parent and would double-count.
+            spans[pid] = spans.get(pid, 0) + 1
+            # Nested spans lie inside their root; root spans of one pid
+            # can overlap each other (an orchestrator's attempt spans
+            # run inside its sweep span), so busy time is their union.
             if "/" not in path:
-                entry[1] += dur
-    if not busy or start is None or end is None:
+                roots.setdefault(pid, []).append((ts, ts + dur))
+    if not spans or start is None or end is None:
         return None
     wall_us = max(end - start, 1e-9)
     table = Table(
         "Worker utilization",
         ["Process", "Pid", "Spans", "Busy s", "Utilization"],
     )
-    for pid in sorted(busy):
-        events, busy_us = busy[pid]
+    for pid in sorted(spans):
+        busy_us = _union_length(roots.get(pid, []))
         table.add_row(
             names.get(pid, f"worker {pid}"),
             pid,
-            int(events),
+            spans[pid],
             busy_us / 1e6,
             f"{100.0 * busy_us / wall_us:.1f}%",
         )
     table.notes.append(
-        f"wall span {wall_us / 1e6:.3f}s; busy time counts root spans only"
+        f"wall span {wall_us / 1e6:.3f}s; busy time is the union of each "
+        "process's root spans"
     )
     return table
 

@@ -1,9 +1,9 @@
-"""Simulation results and cross-policy comparison helpers."""
+"""Simulation results: :class:`SimResult` and the :class:`Replay` record."""
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -98,41 +98,3 @@ class Replay:
             zip(self.victim_indices.tolist(), self.victim_addresses.tolist())
         )
 
-
-def normalized_miss_table(
-    results: Mapping[str, SimResult], baseline: str
-) -> Dict[str, float]:
-    """Miss counts of every policy normalized to ``baseline``."""
-    if baseline not in results:
-        raise SimulationError(f"baseline policy {baseline!r} missing from results")
-    base = results[baseline]
-    return {
-        name: result.misses_normalized_to(base) for name, result in results.items()
-    }
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean, conventionally used for normalized ratios."""
-    if not values:
-        raise SimulationError("geometric mean of an empty sequence")
-    product = 1.0
-    for value in values:
-        if value <= 0:
-            raise SimulationError(f"geometric mean needs positive values, got {value}")
-        product *= value
-    return product ** (1.0 / len(values))
-
-
-def average_normalized_misses(
-    per_frame: Sequence[Mapping[str, SimResult]],
-    policy: str,
-    baseline: str = "drrip",
-) -> float:
-    """Average (arithmetic, as in the paper's "average savings") of the
-    per-frame normalized miss counts of ``policy`` vs ``baseline``."""
-    ratios: List[float] = []
-    for frame_results in per_frame:
-        ratios.append(
-            frame_results[policy].misses_normalized_to(frame_results[baseline])
-        )
-    return sum(ratios) / len(ratios) if ratios else 1.0

@@ -136,7 +136,9 @@ def replay(
     accept = validator if validator is not None else verify_sealed
     state = WALState(records=[])
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # A corrupt byte that is not UTF-8 spoils only its own line:
+        # the replacement character fails that line's JSON or checksum.
+        with open(path, "r", encoding="utf-8", errors="replace") as handle:
             lines = handle.read().splitlines()
     except FileNotFoundError:
         return state

@@ -120,7 +120,7 @@ def test_report_sections(run_dir):
     # Utilization: one row per pid, orchestrator named.
     assert "Worker utilization" in report
     assert "gspc-sweep orchestrator" in report
-    assert "busy time counts root spans only" in report
+    assert "busy time is the union of each process's root spans" in report
     # Retry timeline shows the failed attempt and both successes.
     assert "Attempt timeline" in report
     assert "crash: worker crashed" in report
@@ -133,6 +133,72 @@ def _per_run(report):
     rows = [re.split(r"\s{2,}", line.strip())
             for line in section.splitlines()[4:]]
     return {row[2]: row[1:2] + row[3:] for row in rows}
+
+
+def _utilization(report):
+    """Worker utilization rows as {process: [pid, spans, busy s, %]}."""
+    section = report[report.index("Worker utilization"):].split("\n\n")[0]
+    rows = [re.split(r"\s{2,}", line.strip())
+            for line in section.splitlines()[4:]
+            if not line.startswith("note:")]
+    return {row[0]: row[1:] for row in rows}
+
+
+def test_utilization_is_the_union_of_overlapping_root_spans(tmp_path):
+    """An orchestrator's attempt spans overlap its sweep span and each
+    other; its busy time is their union, never more than the wall."""
+    ctx = {"run_id": RUN_ID}
+    events = [
+        make_event("sweep", 1000.0, 3.0, pid=10, ctx=ctx),
+        make_event("sim:a", 1002.0, 2.0, pid=10, ctx=ctx),
+        make_event("sim:b", 1006.0, 1.0, pid=10, ctx=ctx),
+        make_event("plan", 1000.0, 0.5, pid=10, path="sweep/plan", ctx=ctx),
+        make_event("sim", 1000.0, 10.0, pid=11, ctx=ctx),
+    ]
+    path = str(tmp_path / "trace.json")
+    write_trace_file(
+        build_chrome_trace(
+            events, RUN_ID, process_names={10: "gspc-sweep orchestrator"}
+        ),
+        path,
+    )
+    rows = _utilization(render_report(collect([path])))
+    # Sweep [0, 3] + attempts [2, 4] and [6, 7]: 5 s of a 10 s wall,
+    # where summing the three root spans would read 6 s.
+    assert rows["gspc-sweep orchestrator"] == ["10", "4", "5.000", "50.0%"]
+    assert rows["worker 11"] == ["11", "1", "10.000", "100.0%"]
+
+
+def test_collect_reads_each_file_once(run_dir):
+    """A directory and files inside it, named together, count once."""
+    named = [
+        run_dir,
+        os.path.join(run_dir, "trace.json"),
+        os.path.join(run_dir, "journal.jsonl"),
+        os.path.join(run_dir, ".", "manifest.json"),
+    ]
+    data = collect(named)
+    assert data.problems == []
+    assert (len(data.manifests), len(data.traces), len(data.journals)) == (
+        1, 1, 1
+    )
+    report = render_report(data)
+    assert f"run {RUN_ID}: 4 spans across 3 process(es)" in report
+    assert render_report(collect([run_dir])) == report
+
+
+def test_unreadable_journal_is_a_warning(run_dir, monkeypatch, capsys):
+    from repro import wal
+    from repro.errors import WALError
+
+    def unreadable(path, validator=None):
+        raise WALError(f"cannot read WAL {path}: injected")
+
+    monkeypatch.setattr(wal, "replay", unreadable)
+    assert main([run_dir]) == 0  # the manifest and trace still report
+    captured = capsys.readouterr()
+    assert "warning: cannot read WAL" in captured.err
+    assert "Attempt timeline" not in captured.out
 
 
 def test_per_run_rows_for_every_run_kind(run_dir):

@@ -1,15 +1,10 @@
-"""SimResult and comparison-helper tests."""
+"""SimResult tests."""
 
 import pytest
 
 from repro.cache.stats import LLCStats
 from repro.errors import SimulationError
-from repro.sim.results import (
-    SimResult,
-    average_normalized_misses,
-    geometric_mean,
-    normalized_miss_table,
-)
+from repro.sim.results import SimResult
 from repro.streams import Stream
 
 
@@ -37,34 +32,6 @@ def test_zero_miss_baseline():
     baseline = _result("drrip", 0)
     assert _result("x", 0).misses_normalized_to(baseline) == 1.0
     assert _result("x", 5).misses_normalized_to(baseline) == float("inf")
-
-
-def test_normalized_table():
-    results = {"drrip": _result("drrip", 50), "gspc": _result("gspc", 25)}
-    table = normalized_miss_table(results, "drrip")
-    assert table["gspc"] == pytest.approx(0.5)
-    assert table["drrip"] == 1.0
-
-
-def test_normalized_table_missing_baseline():
-    with pytest.raises(SimulationError):
-        normalized_miss_table({"gspc": _result("gspc", 1)}, "drrip")
-
-
-def test_geometric_mean():
-    assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-    with pytest.raises(SimulationError):
-        geometric_mean([])
-    with pytest.raises(SimulationError):
-        geometric_mean([1.0, 0.0])
-
-
-def test_average_normalized_misses():
-    frames = [
-        {"drrip": _result("drrip", 50), "gspc": _result("gspc", 25)},
-        {"drrip": _result("drrip", 40), "gspc": _result("gspc", 40)},
-    ]
-    assert average_normalized_misses(frames, "gspc") == pytest.approx(0.75)
 
 
 def test_hit_rate_property():

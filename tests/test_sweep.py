@@ -196,6 +196,17 @@ def test_replay_first_ok_wins_and_rejects_torn_tail(tmp_path):
     assert state.rejected_lines == 1
 
 
+def test_replay_rejects_a_line_that_is_not_utf8(tmp_path):
+    path = str(tmp_path / "journal.jsonl")
+    with open(path, "wb") as handle:
+        handle.write(seal(_ok_record("a")).encode("utf-8") + b"\n")
+        handle.write(b"\xff\xfe" + seal(_ok_record("b")).encode("utf-8") + b"\n")
+        handle.write(seal(_ok_record("c")).encode("utf-8")[:-2] + b"\xff}\n")
+    state = replay(path)
+    assert set(state.completed) == {"a"}
+    assert state.rejected_lines == 2
+
+
 def test_replay_missing_file_is_empty_state(tmp_path):
     state = replay(str(tmp_path / "nope.jsonl"))
     assert state.completed == {} and state.attempts == {}

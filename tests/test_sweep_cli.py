@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
 from repro.obs.manifest import load_manifest, validate_manifest
+from repro.obs.report import collect, render_report
 from repro.sweep.cli import main
 
 #: Small enough that a full sweep is a second or two.
@@ -225,6 +227,13 @@ def test_traced_parallel_sweep_acceptance(tmp_path, cache_dir):
     worker_spans = [e for e in spans if e["pid"] in worker_pids]
     assert worker_spans
     assert all(e["args"].get("job_id") for e in worker_spans)
+    # gspc-report never reads a process as busy for longer than the run:
+    # the orchestrator's attempt spans overlap its sweep span.
+    report = render_report(collect([out]))
+    section = report[report.index("Worker utilization"):].split("\n\n")[0]
+    utilization = [float(cell) for cell in re.findall(r"(\d+\.\d)%", section)]
+    assert len(utilization) == 3
+    assert max(utilization) <= 100.0
 
     # Tracing must not perturb results: the CSV matches an untraced run.
     plain = str(tmp_path / "plain")

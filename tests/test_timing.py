@@ -7,7 +7,7 @@ import pytest
 from repro.config import DDR3_1867, GPU_SMALL, paper_baseline
 from repro.gpu.shader import ShaderModel
 from repro.gpu.llc_timing import LLCTimingModel
-from repro.gpu.timing import FrameTimingSimulator, average_fps, simulate_frame_timing
+from repro.gpu.timing import FrameTimingSimulator, simulate_frame_timing
 from repro.streams import Stream
 from repro.trace import synth
 
@@ -88,12 +88,6 @@ def test_full_scale_fps_correction():
         scale=0.5,
     )
     assert timing.fps_full_scale == pytest.approx(timing.fps * 0.25)
-
-
-def test_average_fps():
-    a = simulate_frame_timing(synth.cyclic_scan(64, 2), "lru")
-    assert average_fps([a, a]) == pytest.approx(a.fps_full_scale)
-    assert average_fps([]) == 0.0
 
 
 def test_shader_model_exposed_latency_scales_with_contexts():
