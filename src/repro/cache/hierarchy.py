@@ -12,7 +12,7 @@ reach the LLC directly.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -49,58 +49,28 @@ class RenderCacheFrontEnd:
         )
         self.raw_accesses = 0
 
-    # -- scalar path --------------------------------------------------------
-
     def access(self, address: int, stream: Stream, is_write: bool = False) -> None:
-        self.raw_accesses += 1
-        if stream is Stream.TEXTURE:
-            self._texture_access(address)
-            return
-        if stream is Stream.DISPLAY or stream is Stream.OTHER:
-            # Uncached internally: straight to the LLC.
-            self.sink.append(address, stream, is_write)
-            return
-        cache = self.caches[stream]
-        hit, writeback = cache.access(address, is_write)
-        if writeback is not None:
-            self.sink.append(writeback, stream, True)
-        if not hit:
-            self.sink.append(address, stream, False)
-
-    def _texture_access(self, address: int) -> None:
-        for level in self.texture_levels:
-            hit, _ = level.access(address, False)
-            if hit:
-                return
-        self.sink.append(address, Stream.TEXTURE, False)
-
-    # -- batch path ----------------------------------------------------------
+        self.access_blocks((address,), stream, is_write)
 
     def access_blocks(
-        self, addresses: np.ndarray, stream: Stream, is_write: bool = False
+        self, addresses: Sequence[int], stream: Stream, is_write: bool = False
     ) -> None:
         """Route a batch of block addresses through one stream's caches."""
+        self.raw_accesses += len(addresses)
         if stream is Stream.DISPLAY or stream is Stream.OTHER:
-            self.raw_accesses += len(addresses)
+            # Uncached internally: straight to the LLC.
             self.sink.extend(addresses, stream, is_write)
             return
+        batch = np.asarray(addresses, dtype=np.uint64).tolist()
         if stream is Stream.TEXTURE:
-            access = self._texture_access
-            self.raw_accesses += len(addresses)
-            for address in addresses.tolist():
-                access(address)
+            # Read-only levels: L2 sees exactly L1's misses in order, and
+            # L3 L2's, so each level filters the whole batch in turn.
+            for level in self.texture_levels:
+                batch, _ = level.filter(batch)
+            self.sink.extend(batch, stream)
             return
-        cache_access = self.caches[stream].access
-        append = self.sink.append
-        self.raw_accesses += len(addresses)
-        for address in addresses.tolist():
-            hit, writeback = cache_access(address, is_write)
-            if writeback is not None:
-                append(writeback, stream, True)
-            if not hit:
-                append(address, stream, False)
-
-    # -- bookkeeping ----------------------------------------------------------
+        emitted, stores = self.caches[stream].filter(batch, is_write)
+        self.sink.extend_flagged(emitted, stream, stores)
 
     def filtered_fraction(self) -> float:
         """Fraction of raw accesses absorbed before reaching the LLC."""

@@ -2,15 +2,16 @@
 
 Used for the small render caches in front of the LLC (vertex, HiZ, Z,
 stencil, render target, and the texture hierarchy levels).  Each set is a
-Python dict from tag to dirty flag; insertion order doubles as LRU order
-(hits delete and re-insert), which keeps the hot path allocation-free and
-O(1).
+Python dict from block address to dirty flag; insertion order doubles as
+LRU order (hits pop and re-insert), so the first key is the LRU block.
+:meth:`LRUCache.filter` runs a whole batch in one loop and returns what
+the batch sends on to the next level.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config import CacheParams
 from repro.utils.bitops import ilog2
@@ -56,34 +57,57 @@ class LRUCache:
         self._sets: List[dict] = [{} for _ in range(self.num_sets)]
         self.stats = SetAssocStats()
 
-    def access(self, address: int, is_write: bool = False) -> Tuple[bool, Optional[int]]:
-        """Access a byte address.
+    def filter(
+        self, addresses: Sequence[int], is_write: bool = False
+    ) -> Tuple[List[int], bytearray]:
+        """Run a batch of byte addresses through the cache, in order.
 
-        Returns ``(hit, evicted_block_address)``.  The evicted block
-        address (or None) lets callers model write-back traffic; only
-        dirty victims are reported, clean victims are dropped silently.
+        Returns ``(emitted, stores)``: the accesses the batch sends to the
+        next level and one 0/1 store flag for each.  A hit emits nothing;
+        it moves the block to MRU and ORs ``is_write`` into its dirty bit.
+        A miss on a full set evicts the LRU block; a dirty victim's
+        write-back is emitted as a store, before the miss.  The miss
+        itself is emitted as a load, even for a store.
         """
-        block = address >> self.block_bits
-        set_index = block & self.set_mask
-        tag = block >> 0  # full block address doubles as the tag
-        cache_set = self._sets[set_index]
-        if tag in cache_set:
-            # Move to MRU position, merging the dirty bit.
-            dirty = cache_set.pop(tag)
-            cache_set[tag] = dirty or is_write
-            self.stats.hits += 1
-            return True, None
-        self.stats.misses += 1
-        victim_writeback = None
-        if len(cache_set) >= self.ways:
-            victim_tag = next(iter(cache_set))
-            victim_dirty = cache_set.pop(victim_tag)
-            self.stats.evictions += 1
-            if victim_dirty:
-                self.stats.writebacks += 1
-                victim_writeback = victim_tag << self.block_bits
-        cache_set[tag] = is_write
-        return False, victim_writeback
+        shift = self.block_bits
+        set_mask = self.set_mask
+        ways = self.ways
+        sets = self._sets
+        emitted: List[int] = []
+        stores = bytearray()
+        emit = emitted.append
+        flag = stores.append
+        hits = evictions = writebacks = 0
+        for address in addresses:
+            block = address >> shift
+            cache_set = sets[block & set_mask]
+            dirty = cache_set.pop(block, None)
+            if dirty is not None:
+                cache_set[block] = dirty or is_write
+                hits += 1
+                continue
+            if len(cache_set) >= ways:
+                for victim in cache_set:
+                    break
+                evictions += 1
+                if cache_set.pop(victim):
+                    writebacks += 1
+                    emit(victim << shift)
+                    flag(1)
+            cache_set[block] = is_write
+            emit(address)
+            flag(0)
+        stats = self.stats
+        stats.hits += hits
+        stats.misses += len(addresses) - hits
+        stats.evictions += evictions
+        stats.writebacks += writebacks
+        return emitted, stores
+
+    def access(self, address: int, is_write: bool = False) -> Tuple[bool, Optional[int]]:
+        """Access one byte address: ``(hit, dirty_victim_address or None)``."""
+        emitted, _ = self.filter((address,), is_write)
+        return not emitted, emitted[0] if len(emitted) == 2 else None
 
     def contains(self, address: int) -> bool:
         """Presence check without touching LRU state or statistics."""

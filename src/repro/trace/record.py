@@ -11,7 +11,8 @@ expensive.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Mapping, Optional
+from array import array
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -120,58 +121,47 @@ class Trace:
 
 
 class TraceBuilder:
-    """Incrementally builds a :class:`Trace` with amortized growth."""
-
-    _INITIAL_CAPACITY = 4096
+    """Incrementally builds a :class:`Trace` in packed ``array`` columns."""
 
     def __init__(self, meta: Optional[Mapping[str, object]] = None) -> None:
-        self._capacity = self._INITIAL_CAPACITY
-        self._length = 0
-        self._addresses = np.empty(self._capacity, dtype=np.uint64)
-        self._streams = np.empty(self._capacity, dtype=np.uint8)
-        self._writes = np.empty(self._capacity, dtype=bool)
+        self._addresses = array("Q")
+        self._streams = array("B")
+        self._writes = array("B")
         self.meta = dict(meta or {})
 
     def __len__(self) -> int:
-        return self._length
-
-    def _grow(self, needed: int) -> None:
-        while self._capacity < needed:
-            self._capacity *= 2
-        for name in ("_addresses", "_streams", "_writes"):
-            old = getattr(self, name)
-            new = np.empty(self._capacity, dtype=old.dtype)
-            new[: self._length] = old[: self._length]
-            setattr(self, name, new)
+        return len(self._addresses)
 
     def append(self, address: int, stream: Stream, is_write: bool = False) -> None:
-        if self._length == self._capacity:
-            self._grow(self._length + 1)
-        self._addresses[self._length] = address
-        self._streams[self._length] = int(stream)
-        self._writes[self._length] = is_write
-        self._length += 1
+        self._addresses.append(address)
+        self._streams.append(stream)
+        self._writes.append(1 if is_write else 0)
 
     def extend(
         self,
-        addresses: np.ndarray,
+        addresses: Sequence[int],
         stream: Stream,
         is_write: bool = False,
     ) -> None:
         """Append a batch of addresses sharing one stream and r/w flag."""
-        addresses = np.asarray(addresses, dtype=np.uint64)
-        end = self._length + len(addresses)
-        if end > self._capacity:
-            self._grow(end)
-        self._addresses[self._length : end] = addresses
-        self._streams[self._length : end] = int(stream)
-        self._writes[self._length : end] = is_write
-        self._length = end
+        count = len(addresses)
+        self.extend_flagged(
+            addresses, stream, b"\x01" * count if is_write else bytes(count)
+        )
+
+    def extend_flagged(
+        self, addresses: Sequence[int], stream: Stream, writes: bytes
+    ) -> None:
+        """Append a batch sharing one stream, with one store flag (a byte
+        of ``writes``) per access."""
+        self._addresses.frombytes(np.asarray(addresses, dtype=np.uint64).tobytes())
+        self._streams.frombytes(bytes((stream,)) * len(addresses))
+        self._writes.frombytes(writes)
 
     def build(self) -> Trace:
         return Trace(
-            self._addresses[: self._length].copy(),
-            self._streams[: self._length].copy(),
-            self._writes[: self._length].copy(),
+            np.frombuffer(self._addresses, dtype=np.uint64).copy(),
+            np.frombuffer(self._streams, dtype=np.uint8).copy(),
+            np.frombuffer(self._writes, dtype=np.uint8).astype(bool),
             self.meta,
         )

@@ -43,9 +43,8 @@ def covered_tiles(
     x0, y0, x1, y1 = clip_region(draw.region, target)
     if x1 <= x0 or y1 <= y0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    ys, xs = np.mgrid[y0:y1, x0:x1]
-    xs = xs.ravel()
-    ys = ys.ravel()
+    xs = np.tile(np.arange(x0, x1), y1 - y0)
+    ys = np.repeat(np.arange(y0, y1), x1 - x0)
     if draw.coverage < 1.0:
         mask = rng.random(xs.size) < draw.coverage
         xs, ys = xs[mask], ys[mask]

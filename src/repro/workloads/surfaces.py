@@ -85,8 +85,8 @@ class Surface:
 
     def block_addresses(self, tiles_x: np.ndarray, tiles_y: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`block_address` (inputs are clipped in-range)."""
-        tx = np.clip(tiles_x, 0, self.tiles_x - 1).astype(np.int64)
-        ty = np.clip(tiles_y, 0, self.tiles_y - 1).astype(np.int64)
+        tx = np.minimum(np.maximum(tiles_x.astype(np.int64), 0), self.tiles_x - 1)
+        ty = np.minimum(np.maximum(tiles_y.astype(np.int64), 0), self.tiles_y - 1)
         return (self.base + (ty * self.tiles_x + tx) * BLOCK_BYTES).astype(np.uint64)
 
     def linear_blocks(self, start: int, count: int) -> np.ndarray:
