@@ -8,6 +8,8 @@ The baseline machine of Section 4 of the paper:
 * Render caches: 1 KB 16-way vertex-index, 16 KB 128-way vertex, 12 KB
   24-way HiZ, 16 KB 16-way stencil, 24 KB 24-way render target, 32 KB
   32-way Z, and a three-level texture hierarchy whose L3 is 384 KB 48-way.
+  The 1 KB vertex-index cache is folded into the vertex cache here:
+  index fetches share the vertex cache and the VERTEX stream.
 * LLC: non-inclusive/non-exclusive 8 MB, 16-way, 64 B blocks, 4 banks
   (2 MB/bank), 4 GHz, minimum 20-cycle load-to-use.
 * DRAM: dual-channel DDR3-1600, 8 banks/channel, burst length 8,
@@ -148,7 +150,6 @@ class LLCConfig:
 class RenderCachesConfig:
     """The small per-stream render caches in front of the LLC (Section 4)."""
 
-    vertex_index: CacheParams = CacheParams(1 * KB, ways=16)
     vertex: CacheParams = CacheParams(16 * KB, ways=128)
     hiz: CacheParams = CacheParams(12 * KB, ways=24)
     stencil: CacheParams = CacheParams(16 * KB, ways=16)

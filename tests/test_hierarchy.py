@@ -10,7 +10,6 @@ from repro.streams import Stream
 def _tiny_caches():
     small = CacheParams(512, ways=2)
     return RenderCachesConfig(
-        vertex_index=small,
         vertex=small,
         hiz=small,
         stencil=small,
