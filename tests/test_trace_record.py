@@ -47,6 +47,18 @@ def test_builder_extend_batches():
     assert int(trace.writes.sum()) == 100
 
 
+def test_builder_extend_flagged_keeps_one_flag_per_access():
+    builder = TraceBuilder()
+    builder.extend_flagged([128, 64, 0], Stream.RT, bytearray([1, 0, 0]))
+    first = builder.build()
+    builder.append(192, Stream.Z, True)  # the builder still grows after build()
+    trace = builder.build()
+    assert len(first) == 3
+    assert trace.addresses.tolist() == [128, 64, 0, 192]
+    assert trace.writes.tolist() == [True, False, False, True]
+    assert trace.streams.tolist() == [int(Stream.RT)] * 3 + [int(Stream.Z)]
+
+
 def test_mismatched_arrays_rejected():
     with pytest.raises(TraceError):
         Trace(
