@@ -15,7 +15,7 @@ from repro.cache.hierarchy import RenderCacheFrontEnd
 from repro.config import KB, CacheParams, LLCConfig, RenderCachesConfig
 from repro.trace.record import TraceBuilder
 from repro.workloads.passes import DrawCall, RenderPass, TextureBinding
-from repro.workloads.raster import emit_pass
+from repro.workloads.raster import SHADER_BLOCKS, emit_pass
 from repro.workloads.surfaces import AddressSpace, allocate_surface, allocate_texture
 
 
@@ -85,11 +85,13 @@ def build_frame_trace():
         resolve_to=display,
     )
 
-    builder = TraceBuilder({"name": "hand-built"})
-    front = RenderCacheFrontEnd(RenderCachesConfig().scaled(1 / 64), builder)
+    shader_base = space.allocate(SHADER_BLOCKS * 64)
+    front = RenderCacheFrontEnd(
+        RenderCachesConfig().scaled(1 / 64), TraceBuilder({"name": "hand-built"})
+    )
     for render_pass in (geometry_pass, blur_pass, composite_pass):
-        emit_pass(front, render_pass, rng, vertex_base, space.allocate(64 * 64), 16)
-    return builder.build()
+        emit_pass(front, render_pass, rng, vertex_base, shader_base)
+    return front.trace()
 
 
 def main() -> None:

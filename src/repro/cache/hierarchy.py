@@ -19,7 +19,7 @@ import numpy as np
 from repro.cache.setassoc import LRUCache
 from repro.config import RenderCachesConfig
 from repro.streams import Stream
-from repro.trace.record import TraceBuilder
+from repro.trace.record import Trace, TraceBuilder
 
 
 class RenderCacheFrontEnd:
@@ -71,6 +71,12 @@ class RenderCacheFrontEnd:
             return
         emitted, stores = self.caches[stream].filter(batch, is_write)
         self.sink.extend_flagged(emitted, stream, stores)
+
+    def trace(self) -> Trace:
+        """The LLC trace so far, its meta stamped with ``raw_accesses``."""
+        trace = self.sink.build()
+        trace.meta["raw_accesses"] = self.raw_accesses
+        return trace
 
     def filtered_fraction(self) -> float:
         """Fraction of raw accesses absorbed before reaching the LLC."""

@@ -1,15 +1,15 @@
 """gspc-sim — one-shot simulation CLI.
 
-Simulate a trace (a saved ``.npz`` LLC trace, or a synthesized frame of
+Simulate a trace (a saved ``.gsct`` LLC trace, or a synthesized frame of
 one of the twelve applications) under one or more policies and print
 miss counts, per-stream hit rates, and optionally modeled FPS.
 
 Examples::
 
     gspc-sim --app AssnCreed --policies drrip gspc+ucd belady
-    gspc-sim --trace frame.npz --policies drrip gspc+ucd --llc-mb 16
+    gspc-sim --trace frame.gsct --policies drrip gspc+ucd --llc-mb 16
     gspc-sim --app HAWX --frame 2 --scale 0.0625 --timing
-    gspc-sim --app DMC --save-trace dmc0.npz
+    gspc-sim --app DMC --save-trace dmc0.gsct
     gspc-sim --app AssnCreed --policies drrip gspc+ucd --metrics-out out/
 
 Policies replay one after another in this process; ``gspc-sweep`` is
@@ -37,7 +37,7 @@ from repro.obs.manifest import sim_manifest, timing_manifest, write_manifest
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracing import TraceContext
 from repro.sim.offline import RecordKeeper, simulate_trace
-from repro.trace.io import load_trace, save_trace, trace_format
+from repro.trace.io import check_trace_path, load_trace, save_trace
 from repro.trace.record import Trace
 from repro.trace.sources import SOURCE_SYNTHETIC, resolve_source, \
     validate_source_spec
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     source = parser.add_mutually_exclusive_group(required=False)
     source.add_argument(
-        "--trace", help="path to a saved .gsct/.npz LLC trace"
+        "--trace", help="path to a saved .gsct LLC trace"
     )
     source.add_argument(
         "--app",
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timing", action="store_true", help="also run the frame-timing model"
     )
     parser.add_argument(
-        "--save-trace", metavar="PATH", help="save the input trace and exit"
+        "--save-trace", metavar="PATH", help="save the input trace (.gsct) and exit"
     )
     parser.add_argument(
         "--list-policies", action="store_true", help="list known policies"
@@ -203,9 +203,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Unknown trace extensions are caller mistakes; fail as usage
         # errors before any simulation work.
         if args.trace:
-            trace_format(args.trace)
+            check_trace_path(args.trace)
         if args.save_trace:
-            trace_format(args.save_trace)
+            check_trace_path(args.save_trace)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

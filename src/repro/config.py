@@ -16,9 +16,10 @@ The baseline machine of Section 4 of the paper:
   15-15-15 (tCAS-tRCD-tRP).
 
 Because the reproduction renders synthetic frames in pure Python, a
-*scale model* shrinks the frame resolution and, proportionally, every
-capacity in the memory hierarchy.  Cache behaviour is governed by the
-working-set : capacity ratio, which uniform scaling preserves; the
+*scale model* shrinks the frame resolution and with it every capacity
+in the memory hierarchy: the LLC with the pixel count, the render
+caches by :func:`render_cache_factor`.  Cache behaviour is governed by
+the working-set : capacity ratio, which scaling preserves; the
 experiment harness runs at ``scale=1/8`` by default and supports
 ``scale=1.0`` (paper scale) for full-size runs.
 """
@@ -170,6 +171,18 @@ class RenderCachesConfig:
         )
 
 
+def render_cache_factor(scale: float) -> float:
+    """Capacity factor of the render caches for a frame ``scale``.
+
+    Render caches shrink as ``scale**1.25`` rather than with the pixel
+    count (``scale**2``, as the LLC does): real small caches cannot
+    shrink proportionally (associativity and structure floors), and this
+    keeps their *filtering power* — the fraction of short-range reuse
+    absorbed before the LLC — at paper-like levels.
+    """
+    return scale**1.25
+
+
 @dataclasses.dataclass(frozen=True)
 class DRAMConfig:
     """DDR3 channel/bank/row-buffer timing model parameters.
@@ -286,10 +299,13 @@ GPU_SMALL = GPUConfig(name="small-64c", shader_cores=64, texture_samplers=8)
 
 @dataclasses.dataclass(frozen=True)
 class SystemConfig:
-    """Complete simulated system: GPU + render caches + LLC + DRAM."""
+    """The simulated system behind the render caches: GPU + LLC + DRAM.
+
+    The render caches belong to trace synthesis, which sizes them from
+    the frame scale (:func:`render_cache_factor`).
+    """
 
     llc: LLCConfig = LLCConfig()
-    render_caches: RenderCachesConfig = RenderCachesConfig()
     gpu: GPUConfig = GPU_BASELINE
     dram: DRAMConfig = DDR3_1600
     #: Linear frame-scale factor relative to the paper's resolutions.
@@ -298,18 +314,14 @@ class SystemConfig:
     def scaled(self, scale: float) -> "SystemConfig":
         """Derive a resolution-scaled system.
 
-        Capacities scale with pixel count (``scale**2``); timing
+        The LLC capacity scales with pixel count (``scale**2``); timing
         parameters are left untouched, since latency and bandwidth per
         block are resolution-independent.
         """
         if scale <= 0 or scale > 1:
             raise ConfigError(f"scale must be in (0, 1], got {scale}")
-        area = scale * scale
         return dataclasses.replace(
-            self,
-            llc=self.llc.scaled(area),
-            render_caches=self.render_caches.scaled(area),
-            scale=self.scale * scale,
+            self, llc=self.llc.scaled(scale * scale), scale=self.scale * scale
         )
 
 

@@ -117,7 +117,7 @@ def _render_cache_ablation(config: ExperimentConfig) -> Table:
     """Replay identical command streams through render caches of
     different sizes: how much short-range reuse do they keep away from
     the LLC, and how does that change GSPC's edge?"""
-    from repro.config import RenderCachesConfig
+    from repro.config import RenderCachesConfig, render_cache_factor
     from repro.workloads.apps import ALL_APPS
     from repro.workloads.replay import capture_frame_commands, replay_command_list
 
@@ -132,7 +132,7 @@ def _render_cache_ablation(config: ExperimentConfig) -> Table:
     ]
     llc = config.llc()
     engine = config.engine
-    reference = config.scale**1.25
+    reference = render_cache_factor(config.scale)
     # At small scales every cache hits its size floor, so two factors
     # can give one configuration; each distinct one replays once.
     rows: Dict[RenderCachesConfig, Tuple[int, float]] = {}

@@ -1,7 +1,6 @@
 """Trace containers, I/O, statistics and synthetic generators."""
 
 from repro.trace.record import Access, Trace, TraceBuilder
-from repro.trace.columnar import load_columnar, save_columnar
 from repro.trace.io import load_trace, save_trace
 from repro.trace.stats import TraceStats, compute_trace_stats
 
@@ -9,8 +8,6 @@ __all__ = [
     "Access",
     "Trace",
     "TraceBuilder",
-    "load_columnar",
-    "save_columnar",
     "load_trace",
     "save_trace",
     "TraceStats",

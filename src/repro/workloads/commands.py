@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import WorkloadError
 from repro.workloads.passes import DrawCall, RenderPass, TextureBinding
-from repro.workloads.surfaces import MipmappedTexture, Surface
+from repro.workloads.surfaces import PAGE_BYTES, MipmappedTexture, Surface
 
 
 @dataclasses.dataclass(frozen=True)
@@ -276,8 +276,6 @@ def _mip_chain(declaration: SurfaceDecl) -> MipmappedTexture:
     :func:`repro.workloads.surfaces.allocate_texture`; recompute each
     level's base from the page-aligned sizes.
     """
-    from repro.workloads.surfaces import PAGE_BYTES
-
     levels: List[Surface] = []
     base = declaration.base
     width, height = declaration.width_px, declaration.height_px

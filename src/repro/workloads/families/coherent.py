@@ -43,17 +43,12 @@ from typing import ClassVar, List, Tuple
 
 import numpy as np
 
-from repro.cache.hierarchy import RenderCacheFrontEnd
-from repro.config import RenderCachesConfig
 from repro.errors import WorkloadError
-from repro.trace.record import Trace, TraceBuilder
+from repro.trace.record import Trace
 from repro.workloads.apps import app_by_name
-from repro.workloads.framegen import (
-    SHADER_BLOCKS,
-    build_frame_passes,
-    build_resources,
-)
+from repro.workloads.framegen import build_frame_passes, build_resources, render_front
 from repro.workloads.passes import DrawCall, RenderPass
+from repro.workloads.raster import emit_pass
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,15 +137,12 @@ class CoherentProfile:
             raise WorkloadError(
                 f"frame index must be non-negative: {frame_index}"
             )
-        from repro.workloads.raster import emit_pass  # avoid import cycle
-
         passes, resources = self.base_passes(scale)
         frame_rng = np.random.default_rng(
             (self.seed << 8) ^ (0x5EED + 2654435761 * (frame_index + 1))
         )
         passes = [self._perturb_pass(p, frame_rng) for p in passes]
-        caches = RenderCachesConfig().scaled(scale**1.25)
-        builder = TraceBuilder(
+        front = render_front(
             {
                 "name": f"{self.abbrev}#f{frame_index}",
                 "app": self.name,
@@ -163,7 +155,6 @@ class CoherentProfile:
                 "delta_fraction": self.delta_fraction,
             }
         )
-        front = RenderCacheFrontEnd(caches, builder)
         for pass_index, render_pass in enumerate(passes):
             # One RNG per pass, seeded frame-independently: unperturbed
             # passes rasterize byte-identically in every frame.
@@ -171,16 +162,9 @@ class CoherentProfile:
                 (self.seed << 16) ^ (7919 * pass_index + 1)
             )
             emit_pass(
-                front,
-                render_pass,
-                emit_rng,
-                resources.vertex_base,
-                resources.shader_base,
-                SHADER_BLOCKS,
+                front, render_pass, emit_rng, resources.vertex_base, resources.shader_base
             )
-        trace = builder.build()
-        trace.meta["raw_accesses"] = front.raw_accesses
-        return trace
+        return front.trace()
 
 
 def inter_frame_overlap(

@@ -6,7 +6,9 @@ shadow maps, post-processing ping-pong targets, static MIP textures),
 constructs the pass list (shadow -> main geometry -> post-processing ->
 final + display resolve), rasterizes every draw, filters the raw
 accesses through the render caches, and returns the resulting LLC
-access trace.
+access trace.  Every synthesized trace (frames, command-list replays,
+sequences, the coherent family) is rendered into the front end that
+:func:`render_front` builds.
 
 Frames are deterministic: the RNG is seeded from (application, frame
 index), and per-frame phase shifts model camera/scene movement so that
@@ -22,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cache.hierarchy import RenderCacheFrontEnd
-from repro.config import RenderCachesConfig
+from repro.config import RenderCachesConfig, render_cache_factor
 from repro.errors import WorkloadError
 from repro.trace.record import Trace, TraceBuilder
 from repro.workloads.apps import AppProfile
@@ -32,6 +34,7 @@ from repro.workloads.passes import (
     TextureBinding,
     full_screen_region,
 )
+from repro.workloads.raster import SHADER_BLOCKS, emit_pass
 from repro.workloads.surfaces import (
     AddressSpace,
     MipmappedTexture,
@@ -39,9 +42,6 @@ from repro.workloads.surfaces import (
     allocate_surface,
     allocate_texture,
 )
-
-#: Blocks of shader code/constants shared by a frame's draws.
-SHADER_BLOCKS = 64
 
 
 def _scaled_px(value: int, scale: float, minimum: int = 32) -> int:
@@ -549,46 +549,60 @@ def build_frame_passes(
     return passes
 
 
-def generate_frame_trace(
-    app: AppProfile,
-    frame_index: int = 0,
-    scale: float = 0.125,
-    render_caches: Optional[RenderCachesConfig] = None,
-) -> Trace:
-    """Render one synthetic frame and return its LLC access trace."""
+def render_front(
+    meta: Dict[str, object], caches: Optional[RenderCachesConfig] = None
+) -> RenderCacheFrontEnd:
+    """The render caches a synthesized trace is rendered through.
+
+    ``caches`` defaults to the Section 4 caches sized for
+    ``meta["scale"]`` by :func:`~repro.config.render_cache_factor`; the
+    front end's ``trace()`` returns the LLC trace, carrying ``meta``.
+    """
+    if caches is None:
+        caches = RenderCachesConfig().scaled(
+            render_cache_factor(meta.get("scale", 1.0))
+        )
+    return RenderCacheFrontEnd(caches, TraceBuilder(meta))
+
+
+def frame_prologue(
+    app: AppProfile, frame_index: int, scale: float
+) -> Tuple[
+    np.random.Generator, FrameResources, List[RenderPass], Dict[str, object]
+]:
+    """One frame's seeded RNG, resources, pass list and base meta.
+
+    :func:`generate_frame_trace` rasterizes these passes with the same
+    RNG; :func:`~repro.workloads.replay.capture_frame_commands` records
+    them as a command list.
+    """
     if frame_index < 0:
         raise WorkloadError(f"frame index must be non-negative: {frame_index}")
-    from repro.workloads.raster import emit_pass  # local import: avoid cycle
-
     rng = np.random.default_rng((app.seed << 8) ^ frame_index)
     resources = build_resources(app, scale, rng)
     passes = build_frame_passes(app, resources, frame_index, rng)
-    # Render caches shrink as scale**1.25 rather than scale**2: real small
-    # caches cannot shrink proportionally (associativity and structure
-    # floors), and this keeps their *filtering power* — the fraction of
-    # short-range reuse absorbed before the LLC — at paper-like levels.
-    caches = render_caches or RenderCachesConfig().scaled(scale**1.25)
-    builder = TraceBuilder(
+    meta: Dict[str, object] = {
+        "name": f"{app.abbrev}#f{frame_index}",
+        "app": app.name,
+        "abbrev": app.abbrev,
+        "frame": frame_index,
+        "scale": scale,
+    }
+    return rng, resources, passes, meta
+
+
+def generate_frame_trace(
+    app: AppProfile, frame_index: int = 0, scale: float = 0.125
+) -> Trace:
+    """Render one synthetic frame and return its LLC access trace."""
+    rng, resources, passes, meta = frame_prologue(app, frame_index, scale)
+    front = render_front(
         {
-            "name": f"{app.abbrev}#f{frame_index}",
-            "app": app.name,
-            "abbrev": app.abbrev,
-            "frame": frame_index,
-            "scale": scale,
+            **meta,
             "width_px": resources.back_buffer.width_px,
             "height_px": resources.back_buffer.height_px,
         }
     )
-    front = RenderCacheFrontEnd(caches, builder)
     for render_pass in passes:
-        emit_pass(
-            front,
-            render_pass,
-            rng,
-            resources.vertex_base,
-            resources.shader_base,
-            SHADER_BLOCKS,
-        )
-    trace = builder.build()
-    trace.meta["raw_accesses"] = front.raw_accesses
-    return trace
+        emit_pass(front, render_pass, rng, resources.vertex_base, resources.shader_base)
+    return front.trace()

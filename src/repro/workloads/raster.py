@@ -12,6 +12,7 @@ whose misses form the LLC trace.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -28,6 +29,9 @@ BATCH_TILES = 256
 #: One HiZ entry holds the min/max depth of a 2x2-pixel quad; a 64 B
 #: block covers a 2x2 group of color tiles.
 HIZ_TILES_PER_BLOCK_EDGE = 2
+
+#: Blocks of shader code/constants shared by a frame's draws.
+SHADER_BLOCKS = 64
 
 #: Shader code/constant reads issued per draw call (the OTHER stream).
 SHADER_READS_PER_DRAW = 3
@@ -75,7 +79,7 @@ def _static_sample_addresses(
     # specular...), each its own region of the atlas: replicate the
     # covered tiles once per layer with a large per-layer offset, so
     # multi-sampling never produces duplicate block reads by itself.
-    layers = max(1, int(np.ceil(binding.samples_per_tile)))
+    layers = max(1, math.ceil(binding.samples_per_tile))
     keep_probability = binding.samples_per_tile / layers
     x0, y0, x1, _y1 = draw.region
     rect_width = max(1, x1 - x0)
@@ -102,7 +106,7 @@ def _static_sample_addresses(
             + rng.integers(0, 2, tx.size)
         ) % blocks
         hot = rng.random(tx.size) < binding.hot_probability
-        hot_count = int(hot.sum())
+        hot_count = np.count_nonzero(hot)
         if hot_count:
             hot_blocks = max(1, int(blocks * binding.hot_fraction))
             # Power-law popularity inside the hot set: most hot blocks
@@ -114,7 +118,7 @@ def _static_sample_addresses(
     if not parts:
         return np.empty(0, np.uint64)
     linear = np.concatenate(parts)
-    return (level.base + linear.astype(np.int64) * BLOCK_BYTES).astype(np.uint64)
+    return (level.base + linear * BLOCK_BYTES).astype(np.uint64)
 
 
 def _dynamic_sample_addresses(
@@ -165,7 +169,6 @@ def emit_draw(
     rng: np.random.Generator,
     vertex_base: int,
     shader_base: int,
-    shader_blocks: int,
 ) -> None:
     """Generate all memory accesses of one draw call."""
     target = render_pass.color_target
@@ -185,7 +188,7 @@ def emit_draw(
     # Shader code / constants for this draw's pipeline state.
     shader_addresses = (
         shader_base
-        + rng.integers(0, shader_blocks, size=SHADER_READS_PER_DRAW) * BLOCK_BYTES
+        + rng.integers(0, SHADER_BLOCKS, size=SHADER_READS_PER_DRAW) * BLOCK_BYTES
     ).astype(np.uint64)
     front.access_blocks(shader_addresses, Stream.OTHER)
 
@@ -267,13 +270,10 @@ def emit_pass(
     rng: np.random.Generator,
     vertex_base: int,
     shader_base: int,
-    shader_blocks: int,
 ) -> None:
     """Generate all memory accesses of one render pass."""
     for draw in render_pass.draws:
-        emit_draw(
-            front, render_pass, draw, rng, vertex_base, shader_base, shader_blocks
-        )
+        emit_draw(front, render_pass, draw, rng, vertex_base, shader_base)
     if render_pass.resolve_to is not None:
         # The final displayable color values, written once and never
         # reused (Section 2.2) — the stream the UCD variants bypass.

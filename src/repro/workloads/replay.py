@@ -16,16 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.cache.hierarchy import RenderCacheFrontEnd
 from repro.config import RenderCachesConfig
-from repro.trace.record import Trace, TraceBuilder
+from repro.trace.record import Trace
 from repro.workloads.apps import AppProfile
 from repro.workloads.commands import CommandList, capture_commands, passes_from_commands
-from repro.workloads.framegen import (
-    SHADER_BLOCKS,
-    build_frame_passes,
-    build_resources,
-)
+from repro.workloads.framegen import frame_prologue, render_front
 from repro.workloads.raster import emit_pass
 
 
@@ -33,23 +28,16 @@ def capture_frame_commands(
     app: AppProfile, frame_index: int = 0, scale: float = 0.125
 ) -> CommandList:
     """Capture one synthetic frame as a serializable command stream."""
-    rng = np.random.default_rng((app.seed << 8) ^ frame_index)
-    resources = build_resources(app, scale, rng)
-    passes = build_frame_passes(app, resources, frame_index, rng)
-    command_list = capture_commands(
+    _, resources, passes, meta = frame_prologue(app, frame_index, scale)
+    return capture_commands(
         passes,
         meta={
-            "name": f"{app.abbrev}#f{frame_index}",
-            "app": app.name,
-            "abbrev": app.abbrev,
-            "frame": frame_index,
-            "scale": scale,
+            **meta,
             "vertex_base": resources.vertex_base,
             "vertex_blocks": resources.vertex_blocks,
             "shader_base": resources.shader_base,
         },
     )
-    return command_list
 
 
 def replay_command_list(
@@ -58,16 +46,12 @@ def replay_command_list(
     seed: int = 0,
 ) -> Trace:
     """Execute a command stream; returns the LLC access trace."""
-    scale = float(command_list.meta.get("scale", 1.0))
-    caches = render_caches or RenderCachesConfig().scaled(scale**1.25)
-    builder = TraceBuilder(dict(command_list.meta))
-    front = RenderCacheFrontEnd(caches, builder)
+    front = render_front(dict(command_list.meta), render_caches)
     rng = np.random.default_rng(seed)
     vertex_base = int(command_list.meta.get("vertex_base", 1 << 48))
     shader_base = int(command_list.meta.get("shader_base", 1 << 49))
     for render_pass in passes_from_commands(command_list):
-        emit_pass(front, render_pass, rng, vertex_base, shader_base, SHADER_BLOCKS)
-    trace = builder.build()
-    trace.meta["raw_accesses"] = front.raw_accesses
+        emit_pass(front, render_pass, rng, vertex_base, shader_base)
+    trace = front.trace()
     trace.meta["replayed"] = True
     return trace

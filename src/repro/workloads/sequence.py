@@ -12,20 +12,12 @@ shifted cold windows (camera motion), and re-rendered render targets.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.cache.hierarchy import RenderCacheFrontEnd
-from repro.config import RenderCachesConfig
 from repro.errors import WorkloadError
-from repro.trace.record import Trace, TraceBuilder
+from repro.trace.record import Trace
 from repro.workloads.apps import AppProfile
-from repro.workloads.framegen import (
-    SHADER_BLOCKS,
-    build_frame_passes,
-    build_resources,
-)
+from repro.workloads.framegen import build_frame_passes, build_resources, render_front
 from repro.workloads.raster import emit_pass
 
 
@@ -34,7 +26,6 @@ def generate_sequence_trace(
     num_frames: int = 2,
     scale: float = 0.125,
     start_frame: int = 0,
-    render_caches: Optional[RenderCachesConfig] = None,
 ) -> Trace:
     """Render ``num_frames`` consecutive frames into one LLC trace.
 
@@ -47,8 +38,7 @@ def generate_sequence_trace(
         raise WorkloadError(f"need at least one frame, got {num_frames}")
     rng = np.random.default_rng((app.seed << 8) ^ 0xA11CE)
     resources = build_resources(app, scale, rng)
-    caches = render_caches or RenderCachesConfig().scaled(scale**1.25)
-    builder = TraceBuilder(
+    front = render_front(
         {
             "name": f"{app.abbrev}#seq{start_frame}+{num_frames}",
             "app": app.name,
@@ -57,22 +47,14 @@ def generate_sequence_trace(
             "scale": scale,
         }
     )
-    front = RenderCacheFrontEnd(caches, builder)
     boundaries = []
     for frame_offset in range(num_frames):
         frame_index = start_frame + frame_offset
         passes = build_frame_passes(app, resources, frame_index, rng)
         for render_pass in passes:
             emit_pass(
-                front,
-                render_pass,
-                rng,
-                resources.vertex_base,
-                resources.shader_base,
-                SHADER_BLOCKS,
+                front, render_pass, rng, resources.vertex_base, resources.shader_base
             )
-        boundaries.append(len(builder))
-    trace = builder.build()
-    trace.meta["frame_boundaries"] = boundaries
-    trace.meta["raw_accesses"] = front.raw_accesses
-    return trace
+        boundaries.append(len(front.sink))
+    front.sink.meta["frame_boundaries"] = boundaries
+    return front.trace()

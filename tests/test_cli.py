@@ -18,7 +18,7 @@ def tiny_trace_path(tmp_path):
     rng = np.random.default_rng(0)
     for _ in range(3000):
         builder.append(int(rng.integers(0, 4096)) * 64, Stream(int(rng.integers(0, 8))))
-    path = tmp_path / "trace.npz"
+    path = tmp_path / "trace.gsct"
     save_trace(builder.build(), path)
     return str(path)
 
@@ -86,7 +86,7 @@ def test_app_synthesis(capsys):
 
 
 def test_save_trace(tmp_path, capsys):
-    out_path = tmp_path / "saved.npz"
+    out_path = tmp_path / "saved.gsct"
     assert main(
         ["--app", "DMC", "--scale", "0.0625", "--save-trace", str(out_path)]
     ) == 0
@@ -99,8 +99,26 @@ def test_unknown_policy_errors(tiny_trace_path, capsys):
 
 
 def test_missing_trace_errors(capsys):
-    assert main(["--trace", "/nonexistent/file.npz"]) == 1
+    assert main(["--trace", "/nonexistent/file.gsct"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_npz_trace_is_usage_error(tmp_path, capsys):
+    """``.gsct`` is the only trace format: an ``.npz`` path exits 2
+    before anything is read."""
+    assert main(["--trace", str(tmp_path / "x.npz")]) == 2
+    assert "unknown trace extension" in capsys.readouterr().err
+
+
+def test_npz_save_trace_is_usage_error(tmp_path, capsys):
+    """Saving to an ``.npz`` path exits 2 before synthesizing and
+    writes nothing."""
+    assert main(
+        ["--app", "DMC", "--scale", "0.0625", "--save-trace",
+         str(tmp_path / "x.npz")]
+    ) == 2
+    assert "unknown trace extension" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_unknown_app_errors(capsys):

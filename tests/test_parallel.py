@@ -392,10 +392,10 @@ def _race_save(args) -> bool:
 
 
 def test_save_trace_atomic_under_racing_writers(tmp_path):
-    path = str(tmp_path / "racy.npz")
+    path = str(tmp_path / "racy.gsct")
     with ProcessPoolExecutor(max_workers=2) as pool:
         assert all(pool.map(_race_save, [(path, i) for i in range(6)]))
-    assert os.listdir(tmp_path) == ["racy.npz"]  # temp files cleaned up
+    assert os.listdir(tmp_path) == ["racy.gsct"]  # temp files cleaned up
     assert len(load_trace(path)) > 0
 
 

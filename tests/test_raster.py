@@ -33,7 +33,6 @@ def _emit(render_pass, draw, resources, seed=0):
         np.random.default_rng(seed),
         vertex_base,
         shader_base,
-        16,
     )
     return front.sink.build()
 
@@ -157,9 +156,7 @@ def test_resolve_emits_display_writes(resources):
         resolve_to=display,
     )
     front = RenderCacheFrontEnd(RenderCachesConfig().scaled(1 / 256))
-    emit_pass(
-        front, render_pass, np.random.default_rng(0), vertex_base, shader_base, 16
-    )
+    emit_pass(front, render_pass, np.random.default_rng(0), vertex_base, shader_base)
     trace = front.sink.build()
     display_mask = trace.stream_mask(Stream.DISPLAY)
     assert int(display_mask.sum()) == display.num_blocks

@@ -1,11 +1,13 @@
-"""Trace persistence tests."""
+"""Trace persistence tests: the ``.gsct`` columnar format."""
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.errors import TraceError
 from repro.streams import Stream
-from repro.trace.io import load_trace, save_trace
+from repro.trace.io import ALIGNMENT, load_trace, save_trace
 from repro.trace.record import TraceBuilder
 
 
@@ -18,7 +20,7 @@ def _sample_trace():
 
 def test_round_trip(tmp_path):
     trace = _sample_trace()
-    path = tmp_path / "trace.npz"
+    path = tmp_path / "trace.gsct"
     save_trace(trace, path)
     loaded = load_trace(path)
     assert len(loaded) == len(trace)
@@ -29,59 +31,36 @@ def test_round_trip(tmp_path):
 
 
 def test_creates_parent_directories(tmp_path):
-    path = tmp_path / "deep" / "nested" / "trace.npz"
+    path = tmp_path / "deep" / "nested" / "trace.gsct"
     save_trace(_sample_trace(), path)
     assert path.exists()
 
 
 def test_missing_file_raises_trace_error(tmp_path):
     with pytest.raises(TraceError):
-        load_trace(tmp_path / "nope.npz")
+        load_trace(tmp_path / "nope.gsct")
 
 
 def test_corrupt_file_raises_trace_error(tmp_path):
-    path = tmp_path / "bad.npz"
-    path.write_bytes(b"this is not a numpy archive")
-    with pytest.raises(TraceError):
-        load_trace(path)
-
-
-def test_version_mismatch_rejected(tmp_path):
-    path = tmp_path / "old.npz"
-    trace = _sample_trace()
-    np.savez_compressed(
-        path,
-        version=np.int64(999),
-        addresses=trace.addresses,
-        streams=trace.streams,
-        writes=trace.writes,
-        meta=np.frombuffer(b"{}", dtype=np.uint8),
-    )
+    path = tmp_path / "bad.gsct"
+    path.write_bytes(b"this is not a trace file")
     with pytest.raises(TraceError):
         load_trace(path)
 
 
 def test_empty_trace_round_trip(tmp_path):
     trace = TraceBuilder({"name": "empty"}).build()
-    path = tmp_path / "empty.npz"
+    path = tmp_path / "empty.gsct"
     save_trace(trace, path)
     assert len(load_trace(path)) == 0
 
 
-# -- columnar (.gsct) format ---------------------------------------------------
-
-
-def test_columnar_round_trip(tmp_path):
-    from repro.trace.columnar import load_columnar, save_columnar
-
-    trace = _sample_trace()
-    path = tmp_path / "trace.gsct"
-    save_columnar(trace, path)
-    loaded = load_columnar(path)
-    assert np.array_equal(loaded.addresses, trace.addresses)
-    assert np.array_equal(loaded.streams, trace.streams)
-    assert np.array_equal(loaded.writes, trace.writes)
-    assert loaded.meta == trace.meta
+def test_save_trace_rejects_npz(tmp_path):
+    """``.gsct`` is the only format: an ``.npz`` path raises before
+    anything is written."""
+    with pytest.raises(TraceError, match="unknown trace extension"):
+        save_trace(_sample_trace(), tmp_path / "x.npz")
+    assert os.listdir(tmp_path) == []
 
 
 def _backing_memmap(array):
@@ -94,12 +73,10 @@ def _backing_memmap(array):
 
 
 def test_columnar_load_is_memmapped(tmp_path):
-    from repro.trace.columnar import ALIGNMENT, save_columnar, load_columnar
-
     trace = _sample_trace()
     path = tmp_path / "trace.gsct"
-    save_columnar(trace, path)
-    loaded = load_columnar(path)
+    save_trace(trace, path)
+    loaded = load_trace(path)
     for column in (loaded.addresses, loaded.streams, loaded.writes):
         mapped = _backing_memmap(column)
         assert mapped is not None  # zero-copy: no inflate, no array copy
@@ -107,58 +84,34 @@ def test_columnar_load_is_memmapped(tmp_path):
         assert mapped.offset % ALIGNMENT == 0
 
 
-def test_columnar_load_without_mmap(tmp_path):
-    from repro.trace.columnar import load_columnar, save_columnar
-
-    trace = _sample_trace()
-    path = tmp_path / "trace.gsct"
-    save_columnar(trace, path)
-    loaded = load_columnar(path, mmap=False)
-    assert not isinstance(loaded.addresses, np.memmap)
-    assert np.array_equal(loaded.addresses, trace.addresses)
-
-
 def test_columnar_rejects_bad_magic(tmp_path):
-    from repro.trace.columnar import load_columnar
-
     path = tmp_path / "bad.gsct"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(TraceError, match="magic"):
-        load_columnar(path)
+        load_trace(path)
 
 
 def test_columnar_rejects_wrong_version(tmp_path):
-    from repro.trace.columnar import load_columnar, save_columnar
-
     path = tmp_path / "v999.gsct"
-    save_columnar(_sample_trace(), path)
+    save_trace(_sample_trace(), path)
     blob = bytearray(path.read_bytes())
     blob[4:8] = np.array([999], dtype="<u4").tobytes()
     path.write_bytes(bytes(blob))
     with pytest.raises(TraceError, match="version"):
-        load_columnar(path)
+        load_trace(path)
 
 
 def test_columnar_rejects_truncated_file(tmp_path):
-    from repro.trace.columnar import load_columnar, save_columnar
-
     path = tmp_path / "cut.gsct"
-    save_columnar(_sample_trace(), path)
+    save_trace(_sample_trace(), path)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(TraceError):
-        load_columnar(path)
-
-
-def test_columnar_empty_trace_round_trip(tmp_path):
-    from repro.trace.columnar import load_columnar, save_columnar
-
-    path = tmp_path / "empty.gsct"
-    save_columnar(TraceBuilder({"name": "empty"}).build(), path)
-    assert len(load_columnar(path)) == 0
+        load_trace(path)
 
 
 def test_save_load_trace_dispatch_on_gsct_extension(tmp_path):
+    """A ``.gsct`` path gets the columnar layout and loads memmapped."""
     trace = _sample_trace()
     path = tmp_path / "trace.gsct"
     save_trace(trace, path)
