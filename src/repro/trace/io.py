@@ -78,23 +78,18 @@ def save_trace(trace: Trace, path: PathLike) -> None:
     if directory:
         os.makedirs(directory, exist_ok=True)
 
-    count = len(trace)
     arrays = {
-        "addresses": np.ascontiguousarray(trace.addresses, dtype="<u8"),
-        "streams": np.ascontiguousarray(trace.streams, dtype="u1"),
-        "writes": np.ascontiguousarray(trace.writes, dtype="u1"),
+        name: np.ascontiguousarray(getattr(trace, name), dtype=dtype)
+        for name, dtype in _COLUMNS
     }
     # The header length feeds back into the first column offset; padding
     # the JSON to the alignment boundary keeps the layout single-pass.
-    columns = {}
-    offset = 0  # patched after the header size is known
-    header = {"count": count, "meta": dict(trace.meta), "columns": columns}
-    for name, dtype in _COLUMNS:
-        columns[name] = {"dtype": dtype, "offset": 0}
+    columns = {name: {"dtype": dtype, "offset": 0} for name, dtype in _COLUMNS}
+    header = {"count": len(trace), "meta": dict(trace.meta), "columns": columns}
     encoded = json.dumps(header, sort_keys=True).encode("utf-8")
     while True:  # re-place until the offsets' digit width stabilizes
         offset = _aligned(12 + len(encoded))
-        for name, dtype in _COLUMNS:
+        for name, _ in _COLUMNS:
             columns[name]["offset"] = offset
             offset = _aligned(offset + arrays[name].nbytes)
         refreshed = json.dumps(header, sort_keys=True).encode("utf-8")
