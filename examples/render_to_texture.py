@@ -11,9 +11,8 @@ Run:  python examples/render_to_texture.py
 import numpy as np
 
 from repro import simulate_trace
-from repro.cache.hierarchy import RenderCacheFrontEnd
 from repro.config import KB, CacheParams, LLCConfig, RenderCachesConfig
-from repro.trace.record import TraceBuilder
+from repro.workloads.framegen import render_front
 from repro.workloads.passes import DrawCall, RenderPass, TextureBinding
 from repro.workloads.raster import SHADER_BLOCKS, emit_pass
 from repro.workloads.surfaces import AddressSpace, allocate_surface, allocate_texture
@@ -86,9 +85,7 @@ def build_frame_trace():
     )
 
     shader_base = space.allocate(SHADER_BLOCKS * 64)
-    front = RenderCacheFrontEnd(
-        RenderCachesConfig().scaled(1 / 64), TraceBuilder({"name": "hand-built"})
-    )
+    front = render_front({"name": "hand-built"}, RenderCachesConfig().scaled(1 / 64))
     for render_pass in (geometry_pass, blur_pass, composite_pass):
         emit_pass(front, render_pass, rng, vertex_base, shader_base)
     return front.trace()

@@ -555,8 +555,9 @@ def render_front(
     """The render caches a synthesized trace is rendered through.
 
     ``caches`` defaults to the Section 4 caches sized for
-    ``meta["scale"]`` by :func:`~repro.config.render_cache_factor`; the
-    front end's ``trace()`` returns the LLC trace, carrying ``meta``.
+    ``meta["scale"]`` (paper scale when absent) by
+    :func:`~repro.config.render_cache_factor`; the front end's
+    ``trace()`` returns the LLC trace, carrying ``meta``.
     """
     if caches is None:
         caches = RenderCachesConfig().scaled(
