@@ -30,6 +30,27 @@ def test_round_trip(tmp_path):
     assert loaded.meta == trace.meta
 
 
+def test_columnar_round_trip(tmp_path):
+    """The header on disk describes the trace, and every column comes
+    back with the dtype ``Trace`` keeps in memory."""
+    import json
+
+    trace = _sample_trace()
+    path = tmp_path / "trace.gsct"
+    save_trace(trace, path)
+    blob = path.read_bytes()
+    header_len = int(np.frombuffer(blob[8:12], dtype="<u4")[0])
+    header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
+    assert header["count"] == len(trace)
+    assert header["meta"] == trace.meta
+    assert set(header["columns"]) == {"addresses", "streams", "writes"}
+    loaded = load_trace(path)
+    assert loaded.addresses.dtype == np.uint64
+    assert loaded.streams.dtype == np.uint8
+    assert loaded.writes.dtype == np.bool_
+    assert np.array_equal(loaded.writes, trace.writes)
+
+
 def test_creates_parent_directories(tmp_path):
     path = tmp_path / "deep" / "nested" / "trace.gsct"
     save_trace(_sample_trace(), path)
@@ -53,6 +74,21 @@ def test_empty_trace_round_trip(tmp_path):
     path = tmp_path / "empty.gsct"
     save_trace(trace, path)
     assert len(load_trace(path)) == 0
+
+
+def test_columnar_empty_trace_round_trip(tmp_path):
+    """An empty trace keeps its metadata and column dtypes, although
+    its zero-length columns are not memmapped."""
+    meta = {"name": "empty", "frame": 0}
+    path = tmp_path / "empty.gsct"
+    save_trace(TraceBuilder(meta).build(), path)
+    loaded = load_trace(path)
+    assert len(loaded) == 0
+    assert loaded.meta == meta
+    assert loaded.addresses.dtype == np.uint64
+    assert loaded.streams.dtype == np.uint8
+    assert loaded.writes.dtype == np.bool_
+    assert list(loaded) == []
 
 
 def test_save_trace_rejects_npz(tmp_path):
