@@ -78,10 +78,10 @@ def test_frame_generation_throughput(benchmark):
 def test_detailed_timing_throughput(benchmark, mixed_trace):
     """Event-driven timing model: accesses simulated per second."""
     from repro.config import paper_baseline
-    from repro.gpu.detailed import DetailedGPUSimulator
+    from repro.gpu.detailed import simulate_frame_detailed
 
-    simulator = DetailedGPUSimulator(paper_baseline(llc_mb=8, scale=0.125))
-    timing = benchmark(simulator.run, mixed_trace, "drrip")
+    system = paper_baseline(llc_mb=8, scale=0.125)
+    timing = benchmark(simulate_frame_detailed, mixed_trace, "drrip", system)
     assert timing.accesses == len(mixed_trace)
 
 

@@ -12,7 +12,9 @@ import sys
 from repro import app_by_name, generate_frame_trace
 from repro.analysis.characterize import characterize_frame
 from repro.config import paper_baseline
-from repro.streams import ALL_STREAMS
+from repro.sim.offline import replay
+from repro.streams import ALL_STREAMS, StreamClass
+from repro.trace.stats import compute_trace_stats
 
 SCALE = 0.125
 
@@ -26,36 +28,38 @@ def main() -> None:
 
     print(f"Frame {trace.meta['name']}: {len(trace):,} LLC accesses\n")
 
-    characterizations = {
-        policy: characterize_frame(trace, policy, system.llc)
+    records = {
+        policy: replay(trace, policy, system.llc)
         for policy in ("belady", "drrip", "nru")
     }
-    reference = characterizations["belady"]
+    llc_stats = {policy: record.result.stats for policy, record in records.items()}
 
     print("Stream access mix (cf. Figure 4):")
+    mix = compute_trace_stats(trace).mix()
     for stream in ALL_STREAMS:
-        fraction = reference.stream_mix()[stream]
+        fraction = mix[stream]
         bar = "#" * int(50 * fraction)
         print(f"  {stream.short_name:5s} {100 * fraction:5.1f}%  {bar}")
 
     print("\nPer-stream hit rates (cf. Figure 5):")
     print(f"  {'policy':8s} {'TEX':>7s} {'RT':>7s} {'Z':>7s}")
-    for policy, char in characterizations.items():
+    for policy, stats in llc_stats.items():
         print(
-            f"  {policy:8s} {char.tex_hit_rate:7.3f} "
-            f"{char.rt_hit_rate:7.3f} {char.z_hit_rate:7.3f}"
+            f"  {policy:8s} {stats.tex_hit_rate:7.3f} "
+            f"{stats.rt_hit_rate:7.3f} {stats.z_hit_rate:7.3f}"
         )
 
     print("\nTexture reuse (cf. Figure 6):")
-    for policy, char in characterizations.items():
+    for policy, stats in llc_stats.items():
         print(
-            f"  {policy:8s} inter-stream hits {char.tex_inter_hits:7,d}  "
-            f"intra {char.tex_intra_hits:7,d}  "
-            f"RT->TEX consumption {char.rt_consumption_rate:.1%}"
+            f"  {policy:8s} inter-stream hits {stats.tex_inter_hits:7,d}  "
+            f"intra {stats.tex_intra_hits:7,d}  "
+            f"RT->TEX consumption {stats.rt_consumption_rate:.1%}"
         )
 
     print("\nEpoch death ratios under OPT (cf. Figures 7 and 9):")
-    tex, z = reference.tex_epochs, reference.z_epochs
+    epochs = characterize_frame(trace, records["belady"], system.llc)
+    tex, z = epochs[StreamClass.TEX], epochs[StreamClass.Z]
     for label, epochs in (("texture", tex), ("Z", z)):
         ratios = "  ".join(
             f"E{e}={epochs.death_ratio(e):.2f}" for e in range(3)

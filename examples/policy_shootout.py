@@ -9,10 +9,9 @@ Run:  python examples/policy_shootout.py [--apps N] [--scale S]
 
 import argparse
 
-from repro import generate_frame_trace, simulate_trace
+from repro import generate_frame_trace, simulate_frame_timing, simulate_trace
 from repro.config import paper_baseline
 from repro.analysis.tables import Table
-from repro.gpu.timing import FrameTimingSimulator
 from repro.workloads.apps import ALL_APPS
 
 MISS_POLICIES = (
@@ -29,7 +28,6 @@ def main() -> None:
     args = parser.parse_args()
 
     system = paper_baseline(llc_mb=8, scale=args.scale)
-    simulator = FrameTimingSimulator(system)
 
     misses = Table(
         "LLC misses normalized to DRRIP (cf. Figure 12)",
@@ -52,8 +50,8 @@ def main() -> None:
                 for p in MISS_POLICIES
             ],
         )
-        timing_base = simulator.run(trace, "drrip+ucd")
-        timings = [simulator.run(trace, p) for p in PERF_POLICIES]
+        timing_base = simulate_frame_timing(trace, "drrip+ucd", system)
+        timings = [simulate_frame_timing(trace, p, system) for p in PERF_POLICIES]
         perf.add_row(
             app.abbrev,
             *[t.speedup_over(timing_base) for t in timings],

@@ -1,9 +1,6 @@
 """Characterization, reuse-distance, phase, and reporting helpers."""
 
-from repro.analysis.characterize import (
-    FrameCharacterization,
-    characterize_frame,
-)
+from repro.analysis.characterize import characterize_frame
 from repro.analysis.misses import MissBreakdown, classify_misses
 from repro.analysis.phases import PhaseWindow, detect_phase_changes, phase_profile
 from repro.analysis.reuse import ReuseProfile, compute_reuse_profile, reuse_distances
@@ -13,7 +10,6 @@ __all__ = [
     "Table",
     "format_table",
     "characterize_frame",
-    "FrameCharacterization",
     "MissBreakdown",
     "classify_misses",
     "PhaseWindow",

@@ -1,87 +1,33 @@
-"""Frame characterization: the measurements behind Section 2.
+"""Frame characterization: the epoch populations behind Section 2.3.
 
-``characterize_frame`` runs one frame under one policy with an epoch
-observer attached and returns everything Figures 4-9 need: the stream
-access mix, per-stream hit rates, inter- vs intra-stream texture hits,
-render-target consumption, and the epoch populations of the texture and
-Z streams.
+``characterize_frame`` walks one frame's replay record with an
+:class:`~repro.sim.epochs.EpochTracker` and returns the epoch statistics
+of the texture and Z streams that Figures 7 and 9 report.  The other
+Section-2 measurements need no post-pass: the stream access mix is
+:func:`~repro.trace.stats.compute_trace_stats`, and the per-stream hit
+rates and inter-stream texture hits are the record's
+:class:`~repro.cache.stats.LLCStats`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, Optional
 
-from repro.cache.stats import LLCStats
+from repro.cache.geometry import CacheGeometry
 from repro.config import LLCConfig
 from repro.sim.epochs import EpochStats, EpochTracker
-from repro.sim.offline import PolicyLike, simulate_trace
-from repro.sim.results import SimResult
-from repro.streams import Stream, StreamClass
+from repro.sim.results import Replay
+from repro.streams import StreamClass
 from repro.trace.record import Trace
-from repro.trace.stats import TraceStats, compute_trace_stats
-
-
-@dataclasses.dataclass
-class FrameCharacterization:
-    """All Section-2 measurements for one (frame, policy) pair."""
-
-    policy: str
-    trace_stats: TraceStats
-    llc_stats: LLCStats
-    tex_epochs: EpochStats
-    z_epochs: EpochStats
-    result: SimResult
-
-    # -- conveniences used by the figure modules -------------------------
-
-    @property
-    def tex_hit_rate(self) -> float:
-        return self.llc_stats.tex_hit_rate
-
-    @property
-    def rt_hit_rate(self) -> float:
-        return self.llc_stats.rt_hit_rate
-
-    @property
-    def z_hit_rate(self) -> float:
-        return self.llc_stats.z_hit_rate
-
-    @property
-    def rt_consumption_rate(self) -> float:
-        return self.llc_stats.rt_consumption_rate
-
-    @property
-    def tex_inter_hits(self) -> int:
-        return self.llc_stats.tex_inter_hits
-
-    @property
-    def tex_intra_hits(self) -> int:
-        return self.llc_stats.tex_intra_hits
-
-    def stream_mix(self) -> Dict[Stream, float]:
-        return self.trace_stats.mix()
 
 
 def characterize_frame(
-    trace: Trace,
-    policy: PolicyLike = "belady",
-    llc_config: Optional[LLCConfig] = None,
-    engine: str = "auto",
-) -> FrameCharacterization:
-    """Measure one frame under one policy with epoch tracking enabled.
-
-    ``engine`` resolves as in :func:`~repro.sim.offline.simulate_trace`.
-    """
+    trace: Trace, record: Replay, llc_config: Optional[LLCConfig] = None
+) -> Dict[StreamClass, EpochStats]:
+    """The TEX and Z epoch statistics of ``record``, ``trace``'s replay
+    on ``llc_config``'s LLC (:func:`~repro.sim.offline.replay`)."""
     tracker = EpochTracker()
-    result = simulate_trace(
-        trace, policy, llc_config, observer=tracker, engine=engine
+    tracker.observe(
+        trace, record, CacheGeometry.from_config(llc_config or LLCConfig())
     )
-    return FrameCharacterization(
-        policy=result.policy,
-        trace_stats=compute_trace_stats(trace),
-        llc_stats=result.stats,
-        tex_epochs=tracker.stats[StreamClass.TEX],
-        z_epochs=tracker.stats[StreamClass.Z],
-        result=result,
-    )
+    return tracker.stats

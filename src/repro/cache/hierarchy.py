@@ -49,9 +49,6 @@ class RenderCacheFrontEnd:
         )
         self.raw_accesses = 0
 
-    def access(self, address: int, stream: Stream, is_write: bool = False) -> None:
-        self.access_blocks((address,), stream, is_write)
-
     def access_blocks(
         self, addresses: Sequence[int], stream: Stream, is_write: bool = False
     ) -> None:
@@ -77,9 +74,3 @@ class RenderCacheFrontEnd:
         trace = self.sink.build()
         trace.meta["raw_accesses"] = self.raw_accesses
         return trace
-
-    def filtered_fraction(self) -> float:
-        """Fraction of raw accesses absorbed before reaching the LLC."""
-        if self.raw_accesses == 0:
-            return 0.0
-        return 1.0 - len(self.sink) / self.raw_accesses

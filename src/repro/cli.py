@@ -27,6 +27,7 @@ import time
 from typing import List, Optional
 
 from repro.analysis.tables import Table
+from repro.cache.geometry import CacheGeometry
 from repro.config import DEFAULT_SCALE, paper_baseline
 from repro.core.registry import available_policies
 from repro.errors import ReproError
@@ -36,7 +37,7 @@ from repro.fastsim.dispatch import ENGINE_AUTO, ENGINES, choose_engine
 from repro.obs.manifest import sim_manifest, timing_manifest, write_manifest
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracing import TraceContext
-from repro.sim.offline import RecordKeeper, simulate_trace
+from repro.sim.offline import replay
 from repro.trace.io import check_trace_path, load_trace, save_trace
 from repro.trace.record import Trace
 from repro.trace.sources import SOURCE_SYNTHETIC, resolve_source, \
@@ -166,14 +167,12 @@ def _simulate(
 
     Returns ``(SimResult, observer, spans, engine_used, record)``, where
     ``engine_used`` is the resolved ``"reference"``/``"fast"`` and
-    ``record`` is the replay record that ``--timing`` integrates
-    (``None`` without ``--timing``).
+    ``record`` is the replay record that the sampling observer reads
+    and ``--timing`` integrates.
     """
     from repro.obs.events import SamplingObserver
 
     observer = SamplingObserver() if args.metrics_out else None
-    # --timing integrates this replay's record rather than replaying.
-    keeper = RecordKeeper(observer) if args.timing else None
     spans = SpanRecorder() if args.metrics_out or args.trace_out else None
     engine_used = choose_engine(args.engine, policy)
     root = contextlib.nullcontext()
@@ -182,12 +181,10 @@ def _simulate(
         # Root span = the policy's whole replay, one top-level event.
         root = spans.span("sim")
     with root:
-        result = simulate_trace(
-            trace, policy, llc, observer=keeper or observer, spans=spans,
-            engine=args.engine,
-        )
-    record = keeper.record if keeper else None
-    return result, observer, spans, engine_used, record
+        record = replay(trace, policy, llc, spans, args.engine)
+        if observer is not None:
+            observer.observe(trace, record, CacheGeometry.from_config(llc))
+    return record.result, observer, spans, engine_used, record
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -288,8 +285,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             "Frame timing", ["Policy", "Frame ms", "FPS (full scale)", "Speedup"]
         )
         base_timing = None
-        for policy, (*_, record) in zip(args.policies, runs):
-            timing = simulator.run(trace, policy, record=record)
+        for *_, record in runs:
+            timing = simulator.run(trace, record)
             if base_timing is None:
                 base_timing = timing
             timings[timing.policy] = timing

@@ -18,13 +18,15 @@ import dataclasses
 import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.characterize import FrameCharacterization, characterize_frame
+from repro.analysis.characterize import characterize_frame
 from repro.analysis.tables import Table, mean
 from repro.config import DEFAULT_SCALE, LLCConfig, SystemConfig, paper_baseline
 from repro.core.registry import policy_spec
 from repro.errors import ConfigError, ReproError
+from repro.sim.epochs import EpochStats
 from repro.sim.offline import replay, simulate_trace
 from repro.sim.results import Replay, SimResult
+from repro.streams import StreamClass
 from repro.trace.io import load_trace, save_trace
 from repro.trace.record import Trace
 from repro.trace.sources import SOURCE_SYNTHETIC, resolve_source
@@ -129,7 +131,7 @@ def frame_spec_for(
 # -- in-process result caches ----------------------------------------------------
 
 _SIM_CACHE: Dict[Tuple, SimResult] = {}
-_CHAR_CACHE: Dict[Tuple, FrameCharacterization] = {}
+_CHAR_CACHE: Dict[Tuple, Dict[StreamClass, EpochStats]] = {}
 #: Replay records, kept only for the callers of :func:`frame_replay`.
 _REPLAY_CACHE: Dict[Tuple, Replay] = {}
 
@@ -178,13 +180,15 @@ def frame_replay(spec: FrameSpec, policy: str, config: ExperimentConfig) -> Repl
 
 def frame_characterization(
     spec: FrameSpec, policy: str, config: ExperimentConfig
-) -> FrameCharacterization:
-    """Characterization of one (frame, policy), memoised in-process."""
+) -> Dict[StreamClass, EpochStats]:
+    """TEX and Z epoch statistics of one (frame, policy), memoised
+    in-process (:func:`~repro.analysis.characterize.characterize_frame`
+    over one replay)."""
     key = _cache_key(spec, policy, config)
     if key not in _CHAR_CACHE:
-        _CHAR_CACHE[key] = characterize_frame(
-            frame_trace(spec, config), policy, config.llc(), engine=config.engine
-        )
+        trace, llc = frame_trace(spec, config), config.llc()
+        record = replay(trace, policy, llc, engine=config.engine)
+        _CHAR_CACHE[key] = characterize_frame(trace, record, llc)
     return _CHAR_CACHE[key]
 
 
@@ -204,7 +208,7 @@ def seed_frame_characterization(
     spec: FrameSpec,
     policy: str,
     config: ExperimentConfig,
-    characterization: FrameCharacterization,
+    characterization: Dict[StreamClass, EpochStats],
 ) -> None:
     """Inject a precomputed :func:`frame_characterization` (see above)."""
     _CHAR_CACHE[_cache_key(spec, policy, config)] = characterization

@@ -16,6 +16,7 @@ from repro.experiments.common import (
     frame_characterization,
     register,
 )
+from repro.streams import StreamClass
 
 EPOCH_LABELS = ("E0", "E1", "E2", "E>=3")
 
@@ -31,7 +32,7 @@ def run(config: ExperimentConfig) -> List[Table]:
     frames = config.frames()
 
     def epochs(spec):
-        return frame_characterization(spec, "belady", config).tex_epochs
+        return frame_characterization(spec, "belady", config)[StreamClass.TEX]
 
     upper = app_table(
         "Figure 7 upper: intra-stream texture hits by epoch (%)",

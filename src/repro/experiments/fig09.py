@@ -15,6 +15,7 @@ from repro.experiments.common import (
     frame_characterization,
     register,
 )
+from repro.streams import StreamClass
 
 
 @register(
@@ -26,7 +27,7 @@ from repro.experiments.common import (
 )
 def run(config: ExperimentConfig) -> List[Table]:
     def death_ratios(spec):
-        epochs = frame_characterization(spec, "belady", config).z_epochs
+        epochs = frame_characterization(spec, "belady", config)[StreamClass.Z]
         return [epochs.death_ratio(epoch) for epoch in range(3)]
 
     return [

@@ -40,11 +40,9 @@ def performance_table(
 
     def speedups(spec):
         trace = frame_trace(spec, config)
-        base = simulator.run(
-            trace, BASELINE, record=frame_replay(spec, BASELINE, config)
-        )
+        base = simulator.run(trace, frame_replay(spec, BASELINE, config))
         timings = [
-            simulator.run(trace, policy, record=frame_replay(spec, policy, config))
+            simulator.run(trace, frame_replay(spec, policy, config))
             for policy in policies
         ]
         return [timing.speedup_over(base) for timing in timings] + [

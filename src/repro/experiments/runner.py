@@ -21,8 +21,11 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 from repro.config import DEFAULT_SCALE
 from repro.errors import ReproError
 from repro.experiments.common import (
+    _CHAR_CACHE,
+    _SIM_CACHE,
     Experiment,
     ExperimentConfig,
+    _cache_key,
     all_experiments,
     frame_spec_for,
     get_experiment,
@@ -132,8 +135,10 @@ def plan_for_experiment(
     ordered job list, trace jobs first.
 
     Each sim/char job carries ``config.llc_mb`` and depends on its
-    frame's trace job.  Returns an empty list when the experiment
-    declares no parallelizable work (it then runs serially, unchanged).
+    frame's trace job; one whose result an earlier experiment already
+    memoised in-process is left out.  Returns an empty list when the
+    experiment declares no parallelizable work (it then runs serially,
+    unchanged).
     """
     from repro.sweep.spec import JOB_KINDS, SweepJob
 
@@ -148,9 +153,9 @@ def plan_for_experiment(
             SweepJob("trace", spec.app.abbrev, spec.frame_index)
             for spec in frames
         )
-    for kind, policies in (
-        ("sim", experiment.sim_policies),
-        ("char", experiment.char_policies),
+    for kind, policies, memo in (
+        ("sim", experiment.sim_policies, _SIM_CACHE),
+        ("char", experiment.char_policies, _CHAR_CACHE),
     ):
         jobs.extend(
             SweepJob(
@@ -159,6 +164,7 @@ def plan_for_experiment(
             )
             for policy in policies
             for spec in frames
+            if _cache_key(spec, policy, config) not in memo
         )
     # Dedup preserving kind order; sort within a kind for determinism.
     return sorted(set(jobs), key=lambda job: (JOB_KINDS.index(job.kind), job))

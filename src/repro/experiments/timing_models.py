@@ -45,12 +45,12 @@ def run(config: ExperimentConfig) -> List[Table]:
     for spec in frames:
         trace = frame_trace(spec, config)
         record = frame_replay(spec, BASELINE, config)
-        base_w = windowed.run(trace, BASELINE, record=record)
-        base_d = detailed.run(trace, BASELINE, record=record)
+        base_w = windowed.run(trace, record)
+        base_d = detailed.run(trace, record)
         for policy in POLICIES:
             record = frame_replay(spec, policy, config)
-            timing_w = windowed.run(trace, policy, record=record)
-            timing_d = detailed.run(trace, policy, record=record)
+            timing_w = windowed.run(trace, record)
+            timing_d = detailed.run(trace, record)
             bucket = per_policy[policy]
             bucket["w"].append(timing_w.speedup_over(base_w))
             bucket["d"].append(timing_d.speedup_over(base_d))

@@ -2,8 +2,7 @@
 
 The windowed model (:mod:`repro.gpu.timing`) integrates throughput
 bounds; this model walks one LLC replay's record (per-access outcome
-plus dirty victims, :func:`repro.sim.offline.replay`, or a record the
-caller already holds) through explicit
+plus dirty victims, :func:`repro.sim.offline.replay`) through explicit
 queueing state — per-thread-context availability, a bounded pool of
 outstanding misses (MSHRs), per-bank DRAM service with open-row
 tracking, and per-channel data-bus occupancy — the machinery a detailed
@@ -78,23 +77,12 @@ class DetailedGPUSimulator:
     def __init__(self, system: SystemConfig) -> None:
         self.system = system
 
-    def run(
-        self,
-        trace: Trace,
-        policy: PolicyLike,
-        engine: str = "auto",
-        record: Optional[Replay] = None,
-    ) -> DetailedTiming:
-        """Model one frame under ``policy`` from ``record``, ``trace``'s
-        replay under ``policy`` on this system's LLC when the caller
-        holds one, or else from one LLC replay on ``engine`` (resolved
-        as by :func:`~repro.sim.offline.simulate_trace`)."""
+    def run(self, trace: Trace, record: Replay) -> DetailedTiming:
+        """Model one frame from ``record``, ``trace``'s replay on this
+        system's LLC (:func:`~repro.sim.offline.replay`)."""
         system = self.system
         gpu, dram = system.gpu, system.dram
-        if record is None:
-            record = replay(trace, policy, system.llc, engine=engine)
-        else:
-            check_record(record, trace, policy)
+        check_record(record, trace)
         stats = record.result.stats
 
         flops_per_ns = gpu.peak_tflops * 1e3 * 0.55
@@ -217,5 +205,9 @@ class DetailedGPUSimulator:
 def simulate_frame_detailed(
     trace: Trace, policy: PolicyLike, system: Optional[SystemConfig] = None
 ) -> DetailedTiming:
-    """Convenience wrapper around :class:`DetailedGPUSimulator`."""
-    return DetailedGPUSimulator(system or SystemConfig()).run(trace, policy)
+    """Replay ``trace`` under ``policy`` on ``system``'s LLC, then model
+    the frame with :class:`DetailedGPUSimulator`."""
+    system = system or SystemConfig()
+    return DetailedGPUSimulator(system).run(
+        trace, replay(trace, policy, system.llc)
+    )

@@ -1,9 +1,8 @@
 """Frame-time simulation: LLC trace -> frames per second.
 
-The simulator replays a frame's LLC access trace once through the LLC
-(any replacement policy, on either engine — :func:`repro.sim.offline.replay`),
-or takes a replay record the caller already holds, and then integrates
-time window by window over the record.
+The simulator takes one LLC replay record of a frame's access trace
+(any replacement policy, on either engine — :func:`repro.sim.offline.replay`)
+and integrates time window by window over it.
 Within a window, shading/fixed-function compute, LLC bank occupancy and
 DRAM service largely overlap — a GPU is a throughput machine — so the
 window's duration is their maximum plus the latency that the thread
@@ -106,29 +105,17 @@ class FrameTimingSimulator:
         self.system = system
 
     def run(
-        self,
-        trace: Trace,
-        policy: PolicyLike,
-        spans: Optional[SpanRecorder] = None,
-        engine: str = "auto",
-        record: Optional[Replay] = None,
+        self, trace: Trace, record: Replay, spans: Optional[SpanRecorder] = None
     ) -> FrameTiming:
-        """Model one frame under ``policy``.
+        """Model one frame from ``record``, ``trace``'s replay on this
+        system's LLC (:func:`~repro.sim.offline.replay`).
 
-        ``record`` is ``trace``'s replay under ``policy`` on this
-        system's LLC, when the caller holds one; otherwise one LLC
-        replay on ``engine`` (resolved as by
-        :func:`~repro.sim.offline.simulate_trace`) records its ``setup``
-        and ``replay`` spans.  Integrating the windows over the record
-        adds a ``timing`` span.
+        Integrating the windows over the record adds a ``timing`` span.
         """
         system = self.system
         if spans is None:
             spans = SpanRecorder()
-        if record is None:
-            record = replay(trace, policy, system.llc, spans, engine)
-        else:
-            check_record(record, trace, policy)
+        check_record(record, trace)
         shader = ShaderModel(system.gpu)
         llc_timing = LLCTimingModel(system.llc, system.gpu)
 
@@ -208,6 +195,10 @@ def simulate_frame_timing(
     policy: PolicyLike,
     system: Optional[SystemConfig] = None,
 ) -> FrameTiming:
-    """Convenience wrapper around :class:`FrameTimingSimulator`."""
-    return FrameTimingSimulator(system or SystemConfig()).run(trace, policy)
+    """Replay ``trace`` under ``policy`` on ``system``'s LLC, then model
+    the frame with :class:`FrameTimingSimulator`."""
+    system = system or SystemConfig()
+    return FrameTimingSimulator(system).run(
+        trace, replay(trace, policy, system.llc)
+    )
 

@@ -110,7 +110,6 @@ def sim_manifest(
     config=None,
     observer: Optional[SamplingObserver] = None,
     spans: Optional[SpanRecorder] = None,
-    extras: Optional[Mapping[str, object]] = None,
     engine: Optional[str] = None,
 ) -> Dict[str, object]:
     """Manifest for one :class:`~repro.sim.results.SimResult`.
@@ -129,7 +128,7 @@ def sim_manifest(
         trace={"accesses": result.accesses, **_jsonable(result.trace_meta)},
         metrics=_jsonable(result.stats.snapshot()),
         events=_jsonable(observer.summary()) if observer is not None else None,
-        extras=_jsonable(dict(result.extras, **(extras or {}))),
+        extras=_jsonable(result.extras),
     )
     if engine is not None:
         manifest["engine"] = engine
@@ -139,14 +138,13 @@ def sim_manifest(
 def timing_manifest(
     timing,
     config=None,
-    spans: Optional[SpanRecorder] = None,
     trace_meta: Optional[Mapping[str, object]] = None,
 ) -> Dict[str, object]:
     """Manifest for one :class:`~repro.gpu.timing.FrameTiming`."""
     manifest = _envelope(
         "frame-timing",
         config,
-        _phases(timing.setup_seconds, timing.replay_seconds, spans),
+        _phases(timing.setup_seconds, timing.replay_seconds),
     )
     manifest.update(
         policy=timing.policy,

@@ -123,7 +123,7 @@ class AttemptResult:
     pid: int = 0
     spans: Optional[Dict[str, object]] = None
     events: List[Dict[str, object]] = dataclasses.field(default_factory=list)
-    #: The job's result object (``SimResult`` / ``FrameCharacterization``;
+    #: The job's result object (``SimResult`` / TEX and Z ``EpochStats``;
     #: ``None`` for traces), pickled as shipped in the envelope; callers
     #: that want it decode it with :func:`~repro.sweep.worker.result_value`.
     pickled: Optional[str] = None

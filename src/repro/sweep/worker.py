@@ -8,8 +8,9 @@ atomically, so the parent can distinguish "crashed before finishing"
 (no file) from "finished but the payload is garbage" (checksum/parse
 failure → the attempt is rejected and retried).  Next to the
 deterministic ``payload`` the envelope carries the job's pickled
-result object (``SimResult`` / ``FrameCharacterization``), which
-``gspc-experiments --jobs`` seeds into its in-process caches.
+result object (a ``SimResult``, or a ``char`` job's TEX and Z
+``EpochStats``), which ``gspc-experiments --jobs`` seeds into its
+in-process caches.
 
 Fault injection threads through here: ``crash``/``hang`` fire before
 any work (see :mod:`repro.faults`); ``corrupt`` lets the job finish and
@@ -53,7 +54,7 @@ class JobOutcome:
     """What one worker reported back for one job."""
 
     job: SweepJob
-    #: ``SimResult`` / ``FrameCharacterization`` / ``None`` for traces.
+    #: ``SimResult`` / ``{StreamClass: EpochStats}`` / ``None`` for traces.
     value: object
     seconds: float
     #: Flat span breakdown recorded inside the worker.
@@ -99,11 +100,12 @@ def execute_job(
             )
         elif job.kind == "char":
             from repro.analysis.characterize import characterize_frame
+            from repro.sim.offline import replay
 
+            llc = config.llc()
             with spans.span("characterize"):
-                value = characterize_frame(
-                    trace, job.policy, config.llc(), engine=config.engine
-                )
+                record = replay(trace, job.policy, llc, engine=config.engine)
+                value = characterize_frame(trace, record, llc)
     seconds = time.perf_counter() - started
     return JobOutcome(
         job, value, seconds, spans.flat(), spans.events_payload()

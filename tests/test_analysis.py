@@ -5,6 +5,9 @@ import pytest
 from repro.analysis.characterize import characterize_frame
 from repro.analysis.tables import Table, format_table, mean
 from repro.config import CacheParams, KB, LLCConfig
+from repro.sim.epochs import EpochTracker
+from repro.sim.offline import replay, simulate_trace
+from repro.streams import StreamClass
 from repro.trace import synth
 
 
@@ -14,20 +17,27 @@ def llc_config():
 
 
 def test_characterize_frame_fields(llc_config):
+    """The post-pass over a handed record gives exactly the TEX and Z
+    epoch statistics an epoch observer of that replay collects."""
     trace = synth.producer_consumer(128, 4, consume_fraction=0.8, gap_blocks=64)
-    char = characterize_frame(trace, "belady", llc_config)
-    assert char.policy == "belady"
-    assert char.trace_stats.accesses == len(trace)
-    assert 0.0 <= char.tex_hit_rate <= 1.0
-    assert 0.0 <= char.rt_consumption_rate <= 1.0
-    assert char.tex_epochs.entered[0] > 0
-    assert sum(char.stream_mix().values()) == pytest.approx(1.0)
+    record = replay(trace, "belady", llc_config)
+    epochs = characterize_frame(trace, record, llc_config)
+    assert set(epochs) == {StreamClass.TEX, StreamClass.Z}
+    assert epochs[StreamClass.TEX].entered[0] > 0
+    tracker = EpochTracker()
+    simulate_trace(trace, "belady", llc_config, observer=tracker)
+    assert epochs == tracker.stats
 
 
 def test_characterize_counts_inter_stream(llc_config):
+    """Every texture hit that consumes a render target starts a texture
+    life."""
     trace = synth.producer_consumer(64, 2, consume_fraction=1.0)
-    char = characterize_frame(trace, "lru", llc_config)
-    assert char.tex_inter_hits > 0
+    record = replay(trace, "lru", llc_config)
+    inter_hits = record.result.stats.tex_inter_hits
+    assert inter_hits > 0
+    epochs = characterize_frame(trace, record, llc_config)
+    assert epochs[StreamClass.TEX].entered[0] >= inter_hits
 
 
 class TestTable:

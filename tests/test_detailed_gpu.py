@@ -7,6 +7,7 @@ import pytest
 from repro.config import DDR3_1867, GPU_SMALL, paper_baseline
 from repro.gpu.detailed import DetailedGPUSimulator, simulate_frame_detailed
 from repro.gpu.timing import simulate_frame_timing
+from repro.sim.offline import replay
 from repro.trace import synth
 
 
@@ -36,8 +37,8 @@ def test_deterministic(system, trace):
 
 def test_fewer_misses_faster(system, trace):
     simulator = DetailedGPUSimulator(system)
-    opt = simulator.run(trace, "belady")
-    lru = simulator.run(trace, "lru")
+    opt = simulator.run(trace, replay(trace, "belady", system.llc))
+    lru = simulator.run(trace, replay(trace, "lru", system.llc))
     assert opt.misses < lru.misses
     assert opt.frame_ns < lru.frame_ns
 

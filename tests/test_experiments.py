@@ -154,9 +154,9 @@ def test_performance_table_runs_each_timing_model_once(tmp_path, monkeypatch):
     runs = []
     run = FrameTimingSimulator.run
 
-    def counted(self, trace, policy, *args, **kwargs):
-        runs.append(policy)
-        return run(self, trace, policy, *args, **kwargs)
+    def counted(self, trace, record, *args, **kwargs):
+        runs.append(record.result.policy)
+        return run(self, trace, record, *args, **kwargs)
 
     monkeypatch.setattr(FrameTimingSimulator, "run", counted)
     clear_result_caches()

@@ -11,7 +11,8 @@ import pytest
 
 from repro.config import paper_baseline
 from repro.gpu.timing import FrameTimingSimulator
-from repro.sim.offline import simulate_trace
+from repro.sim.offline import replay, simulate_trace
+from repro.streams import StreamClass
 from repro.workloads.apps import ALL_APPS
 from repro.workloads.framegen import generate_frame_trace
 
@@ -103,7 +104,8 @@ def test_texture_epoch_shape(system):
     from repro.analysis.characterize import characterize_frame
 
     trace = generate_frame_trace(APPS[0], 0, scale=SCALE)
-    epochs = characterize_frame(trace, "belady", system.llc).tex_epochs
+    record = replay(trace, "belady", system.llc)
+    epochs = characterize_frame(trace, record, system.llc)[StreamClass.TEX]
     distribution = epochs.hit_distribution()
     assert distribution[0] > 0.5
     assert epochs.death_ratio(0) > epochs.death_ratio(2)
@@ -120,10 +122,11 @@ def test_z_epochs_live_longer_than_texture(system):
     tex_e0 = 0.0
     for app in APPS[:2]:
         trace = generate_frame_trace(app, 0, scale=SCALE)
-        char = characterize_frame(trace, "belady", system.llc)
+        record = replay(trace, "belady", system.llc)
+        epochs = characterize_frame(trace, record, system.llc)
         for e in range(2):
-            z_totals[e] += char.z_epochs.death_ratio(e)
-        tex_e0 += char.tex_epochs.death_ratio(0)
+            z_totals[e] += epochs[StreamClass.Z].death_ratio(e)
+        tex_e0 += epochs[StreamClass.TEX].death_ratio(0)
     assert z_totals[0] >= z_totals[1]      # Z deaths fall with epoch
     assert tex_e0 > z_totals[0]            # textures die far more in E0
 
@@ -132,6 +135,6 @@ def test_speedup_tracks_miss_savings(system):
     """Figures 15: policies that save misses run faster, with damping."""
     simulator = FrameTimingSimulator(system)
     trace = generate_frame_trace(APPS[1], 0, scale=SCALE)
-    base = simulator.run(trace, "drrip+ucd")
-    opt = simulator.run(trace, "belady+ucd")
+    base = simulator.run(trace, replay(trace, "drrip+ucd", system.llc))
+    opt = simulator.run(trace, replay(trace, "belady+ucd", system.llc))
     assert opt.speedup_over(base) > 1.0

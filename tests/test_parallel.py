@@ -22,6 +22,7 @@ from repro.experiments.common import (
 from repro.experiments.runner import parallel_section, plan_for_experiment, run_plan
 from repro.obs.manifest import validate_manifest
 from repro.sim.offline import simulate_trace
+from repro.streams import StreamClass
 from repro.sweep.exec import resolve_jobs
 from repro.sweep.spec import SweepJob
 from repro.trace import synth
@@ -107,6 +108,17 @@ def test_plan_characterization_jobs():
     assert {job.policy for job in plan} == {"belady"}
 
 
+def test_plan_leaves_out_memoised_results(cached):
+    """A plan holds only what the in-process memo lacks: once fig01 has
+    run, fig05 (a subset of fig01's policies) plans its trace jobs and
+    no sim job."""
+    fig05 = get_experiment("fig05")
+    assert any(job.kind == "sim" for job in plan_for_experiment(fig05, cached))
+    get_experiment("fig01").run(cached)
+    plan = plan_for_experiment(fig05, cached)
+    assert [job.kind for job in plan] == ["trace"] * len(cached.frames())
+
+
 def test_plan_jobs_carry_the_llc_and_depend_on_their_frames_trace():
     config = dataclasses.replace(TINY, cache_dir=".repro_cache", llc_mb=16)
     plan = plan_for_experiment(get_experiment("fig07"), config)
@@ -180,12 +192,12 @@ def test_policy_variants_identical_after_parallel_prewarm(cached, experiment_id)
 
 
 def test_characterization_jobs_round_trip(cached):
-    """fig07's char jobs ship FrameCharacterizations that seed the
+    """fig07's char jobs ship TEX and Z epoch statistics that seed the
     cache with exactly what an in-process characterization computes."""
     experiment = get_experiment("fig07")
     serial_csv = [t.to_csv() for t in experiment.run(cached)]
     spec = cached.frames()[0]
-    serial_char = frame_characterization(spec, "belady", cached)
+    serial_epochs = frame_characterization(spec, "belady", cached)
 
     clear_result_caches()
     plan = plan_for_experiment(experiment, cached)
@@ -198,10 +210,8 @@ def test_characterization_jobs_round_trip(cached):
     seeded = frame_characterization(spec, "belady", cached)
     job_id = f"char:{spec.app.abbrev}:f0:belady:llc{cached.llc_mb}"
     assert seeded is shipped[job_id]
-    assert seeded.trace_stats == serial_char.trace_stats
-    assert seeded.tex_epochs == serial_char.tex_epochs
-    assert seeded.z_epochs == serial_char.z_epochs
-    assert seeded.llc_stats.snapshot() == serial_char.llc_stats.snapshot()
+    assert set(seeded) == {StreamClass.TEX, StreamClass.Z}
+    assert seeded == serial_epochs
     assert [t.to_csv() for t in experiment.run(cached)] == serial_csv
 
 

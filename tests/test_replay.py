@@ -2,16 +2,15 @@
 
 ``repro.sim.offline.replay`` runs one LLC replay and keeps, per access,
 the outcome code plus the ordered dirty victims.  Both timing models
-read that record instead of driving their own LLC, so:
+integrate a record they are handed instead of driving their own LLC, so:
 
 * both engines must produce the same record and the same timing fields
   for every fast-covered policy (with and without ``+ucd``);
 * the timing fields must equal the values the models produced when
   each still ran its own reference LLC loop, pinned in
   ``tests/golden/timing_models.json`` at full float precision on one
-  small frame (plus the same frame cut to exactly one timing window),
-  whether a model replays itself or is handed a record;
-* a handed record must belong to the trace and policy it is run with.
+  small frame (plus the same frame cut to exactly one timing window);
+* a handed record must cover the trace it is run with.
 """
 
 from __future__ import annotations
@@ -58,17 +57,14 @@ def frame():
     return trace, system
 
 
-def _windowed(trace, system, policy, engine="auto", record=None):
-    simulator = FrameTimingSimulator(system)
-    return simulator.run(trace, policy, engine=engine, record=record).to_dict()
+def _windowed(trace, system, policy, engine="auto"):
+    record = replay(trace, policy, system.llc, engine=engine)
+    return FrameTimingSimulator(system).run(trace, record).to_dict()
 
 
-def _detailed(trace, system, policy, engine="auto", record=None):
-    return dataclasses.asdict(
-        DetailedGPUSimulator(system).run(
-            trace, policy, engine=engine, record=record
-        )
-    )
+def _detailed(trace, system, policy, engine="auto"):
+    record = replay(trace, policy, system.llc, engine=engine)
+    return dataclasses.asdict(DetailedGPUSimulator(system).run(trace, record))
 
 
 @pytest.mark.parametrize("policy", sorted(PINNED["windowed"]))
@@ -93,32 +89,16 @@ def test_detailed_model_matches_pinned_values(frame, policy):
     assert _detailed(trace, system, policy) == PINNED["detailed"][policy]
 
 
-@pytest.mark.parametrize("policy", sorted(PINNED["windowed"]))
-def test_models_match_pinned_values_from_a_handed_record(frame, policy):
-    trace, system = frame
-    record = replay(trace, policy, system.llc)
-    assert _windowed(trace, system, policy, record=record) == PINNED["windowed"][policy]
-    assert _detailed(trace, system, policy, record=record) == PINNED["detailed"][policy]
-    cut = trace.slice(0, WINDOW_ACCESSES)
-    record = replay(cut, policy, system.llc)
-    assert _windowed(cut, system, policy, record=record) == (
-        PINNED["windowed_cut"][policy]
-    )
-
-
 @pytest.mark.parametrize(
     "model", [FrameTimingSimulator, DetailedGPUSimulator], ids=["windowed", "detailed"]
 )
 def test_mismatched_record_is_refused(frame, model):
-    """A record of another policy or of another (shorter) trace raises
-    rather than being integrated as if it were this run's."""
+    """A record of another (longer) trace raises rather than being
+    integrated as if it were this run's."""
     trace, system = frame
     record = replay(trace, "lru", system.llc)
-    simulator = model(system)
     with pytest.raises(SimulationError, match="does not match"):
-        simulator.run(trace, "drrip", record=record)
-    with pytest.raises(SimulationError, match="does not match"):
-        simulator.run(trace.slice(0, 100), "lru", record=record)
+        model(system).run(trace.slice(0, 100), record)
 
 
 def _assert_engines_agree(trace, policy, llc):
@@ -243,8 +223,9 @@ class AdHocGSPCBypass(GSPCBypassPolicy):
 
 
 def test_fast_engine_refuses_uncovered_timing_runs(frame):
+    """The replay a timing model would integrate refuses, on the strict
+    fast engine, a policy instance whose exact class has no kernel."""
     trace, system = frame
-    with pytest.raises(SimulationError, match="not covered"):
-        FrameTimingSimulator(system).run(trace, AdHocGSDRRIP(), engine="fast")
-    with pytest.raises(SimulationError, match="not covered"):
-        DetailedGPUSimulator(system).run(trace, AdHocGSPCBypass(), engine="fast")
+    for policy in (AdHocGSDRRIP(), AdHocGSPCBypass()):
+        with pytest.raises(SimulationError, match="not covered"):
+            replay(trace, policy, system.llc, engine="fast")

@@ -8,6 +8,7 @@ from repro.config import DDR3_1867, GPU_SMALL, paper_baseline
 from repro.gpu.shader import ShaderModel
 from repro.gpu.llc_timing import LLCTimingModel
 from repro.gpu.timing import FrameTimingSimulator, simulate_frame_timing
+from repro.sim.offline import replay
 from repro.streams import Stream
 from repro.trace import synth
 
@@ -44,8 +45,8 @@ def test_breakdown_components_bounded(system, trace):
 
 def test_fewer_misses_is_faster(system, trace):
     simulator = FrameTimingSimulator(system)
-    opt = simulator.run(trace, "belady")
-    lru = simulator.run(trace, "lru")
+    opt = simulator.run(trace, replay(trace, "belady", system.llc))
+    lru = simulator.run(trace, replay(trace, "lru", system.llc))
     assert opt.misses < lru.misses
     assert opt.frame_ns < lru.frame_ns
     assert opt.speedup_over(lru) > 1.0

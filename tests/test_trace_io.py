@@ -31,14 +31,16 @@ def test_round_trip(tmp_path):
 
 
 def test_columnar_round_trip(tmp_path):
-    """The header on disk describes the trace, and every column comes
-    back with the dtype ``Trace`` keeps in memory."""
+    """The file starts with the ``GSCT`` magic, the header on disk
+    describes the trace, and every column comes back with the dtype
+    ``Trace`` keeps in memory."""
     import json
 
     trace = _sample_trace()
     path = tmp_path / "trace.gsct"
     save_trace(trace, path)
     blob = path.read_bytes()
+    assert blob[:4] == b"GSCT"
     header_len = int(np.frombuffer(blob[8:12], dtype="<u4")[0])
     header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
     assert header["count"] == len(trace)
@@ -144,18 +146,6 @@ def test_columnar_rejects_truncated_file(tmp_path):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(TraceError):
         load_trace(path)
-
-
-def test_save_load_trace_dispatch_on_gsct_extension(tmp_path):
-    """A ``.gsct`` path gets the columnar layout and loads memmapped."""
-    trace = _sample_trace()
-    path = tmp_path / "trace.gsct"
-    save_trace(trace, path)
-    assert path.read_bytes()[:4] == b"GSCT"
-    loaded = load_trace(path)
-    assert _backing_memmap(loaded.addresses) is not None
-    assert np.array_equal(loaded.addresses, trace.addresses)
-    assert loaded.meta == trace.meta
 
 
 def test_columnar_trace_replays_identically(tmp_path):
