@@ -166,9 +166,10 @@ def _simulate(
     """Replay one policy with the telemetry the flags ask for.
 
     Returns ``(SimResult, observer, spans, engine_used, record)``, where
-    ``engine_used`` is the resolved ``"reference"``/``"fast"`` and
-    ``record`` is the replay record that the sampling observer reads
-    and ``--timing`` integrates.
+    ``engine_used`` is the resolved ``"reference"``/``"fast"``.  The
+    sampling observer reads the replay record, and ``record`` hands it
+    to ``--timing`` (``None`` without ``--timing``, so a run keeps no
+    record it does not integrate).
     """
     from repro.obs.events import SamplingObserver
 
@@ -184,7 +185,10 @@ def _simulate(
         record = replay(trace, policy, llc, spans, args.engine)
         if observer is not None:
             observer.observe(trace, record, CacheGeometry.from_config(llc))
-    return record.result, observer, spans, engine_used, record
+    return (
+        record.result, observer, spans, engine_used,
+        record if args.timing else None,
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
