@@ -3,12 +3,17 @@
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.core.registry import available_policies
 from repro.obs.events import FILL, HIT, EventRing, SamplingObserver
 from repro.sim.offline import simulate_trace
 from repro.streams import Stream
 from repro.trace import synth
 
 from helpers import make_trace
+
+POLICIES = [
+    name + suffix for name in available_policies() for suffix in ("", "+ucd")
+]
 
 
 def test_ring_keeps_newest():
@@ -38,18 +43,25 @@ def test_observer_rejects_bad_period():
 
 
 def test_period_one_matches_exact_cache_stats(small_llc_config):
-    """With every access forwarded, observer counts equal LLCStats."""
+    """With every access sampled, the event counts equal LLCStats for
+    every registry name, with and without ``+ucd`` (the LLC has enough
+    sets for GS-DRRIP's four duels)."""
     trace = synth.random_trace(6000, 2048, seed=7)
-    observer = SamplingObserver(sample_period=1, ring_capacity=64)
-    result = simulate_trace(
-        trace, "drrip", small_llc_config, observer=observer
-    )
-    stats = result.stats
-    for stream in Stream:
-        assert observer.hits_of(stream) == stats.per_stream[stream].hits
-    assert sum(observer.fills_of(s) for s in Stream) == stats.fills
-    assert sum(observer.evictions_of(s) for s in Stream) == stats.evictions
-    assert observer.sampled_events == stats.hits + stats.fills + stats.evictions
+    for policy in POLICIES:
+        observer = SamplingObserver(sample_period=1, ring_capacity=64)
+        result = simulate_trace(
+            trace, policy, small_llc_config, observer=observer
+        )
+        stats = result.stats
+        for stream in Stream:
+            assert observer.hits_of(stream) == stats.per_stream[stream].hits, policy
+        assert sum(observer.fills_of(s) for s in Stream) == stats.fills, policy
+        assert (
+            sum(observer.evictions_of(s) for s in Stream) == stats.evictions
+        ), policy
+        assert (
+            observer.sampled_events == stats.hits + stats.fills + stats.evictions
+        ), policy
 
 
 def test_sampling_period_decimates_accesses(small_llc_config):
@@ -89,6 +101,17 @@ def test_hot_sets_ranked_by_activity(small_llc_config):
     assert [entry["set"] for entry in hot] == [3, 9]
     assert hot[0]["hits"] == 5
     assert hot[1] == {"set": 9, "hits": 1, "fills": 1, "evictions": 0}
+
+
+def test_hot_sets_tie_in_first_seen_order(small_llc_config):
+    observer = SamplingObserver(sample_period=1)
+    # Sets 9 and 3 each see one fill and one hit; set 9 is seen first.
+    entries = [(9, Stream.TEXTURE)] * 2 + [(3, Stream.TEXTURE)] * 2
+    simulate_trace(make_trace(entries), "lru", small_llc_config, observer=observer)
+    assert observer.hot_sets() == [
+        {"set": 9, "hits": 1, "fills": 1, "evictions": 0},
+        {"set": 3, "hits": 1, "fills": 1, "evictions": 0},
+    ]
 
 
 def test_full_reuse_has_no_evictions(small_llc_config):
