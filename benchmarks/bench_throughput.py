@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import CacheParams, KB, LLCConfig
 from repro.sim.future import next_use_indices
-from repro.sim.offline import simulate_trace
+from repro.sim.offline import replay, simulate_trace
 from repro.trace import synth
 from repro.workloads.apps import ALL_APPS
 from repro.workloads.framegen import generate_frame_trace
@@ -40,19 +40,21 @@ def test_policy_throughput(benchmark, mixed_trace, policy):
 
 @pytest.mark.parametrize("observer", ["off", "sampling"])
 def test_observer_overhead(benchmark, mixed_trace, observer):
-    """Replay time with and without the sampling event observer.
+    """Replay time with and without the sampled event log.
 
-    Both rows replay on the same engine; the observer then reads
-    the replay record once, walking only every 64th access after
-    one vectorised pass for each set's fill-up point.  Compare the
-    two rows to measure that post-pass (target: < 5% of the replay,
-    so telemetry can stay on by default).
+    Both rows replay on the same engine; the sampling row then reads
+    the replay record once with ``sample_events``, one vectorised pass
+    for each set's fill-up point and one over every 64th access.
+    Compare the two rows to measure that post-pass (target: < 5% of the
+    replay, so telemetry can stay on by default).
     """
-    from repro.obs.events import SamplingObserver
+    from repro.obs.events import sample_events
 
     def run():
-        obs = SamplingObserver() if observer == "sampling" else None
-        return simulate_trace(mixed_trace, "drrip", LLC, observer=obs)
+        record = replay(mixed_trace, "drrip", LLC)
+        if observer == "sampling":
+            sample_events(mixed_trace, record, LLC)
+        return record.result
 
     result = benchmark(run)
     assert result.accesses == len(mixed_trace)

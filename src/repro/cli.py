@@ -27,12 +27,12 @@ import time
 from typing import List, Optional
 
 from repro.analysis.tables import Table
-from repro.cache.geometry import CacheGeometry
 from repro.config import DEFAULT_SCALE, paper_baseline
 from repro.core.registry import available_policies
 from repro.errors import ReproError
 from repro.gpu.timing import FrameTimingSimulator
 from repro.obs import log as obs_log
+from repro.obs.events import sample_events
 from repro.fastsim.dispatch import ENGINE_AUTO, ENGINES, choose_engine
 from repro.obs.manifest import sim_manifest, timing_manifest, write_manifest
 from repro.obs.spans import SpanRecorder
@@ -165,15 +165,13 @@ def _simulate(
 ):
     """Replay one policy with the telemetry the flags ask for.
 
-    Returns ``(SimResult, observer, spans, engine_used, record)``, where
-    ``engine_used`` is the resolved ``"reference"``/``"fast"``.  The
-    sampling observer reads the replay record, and ``record`` hands it
-    to ``--timing`` (``None`` without ``--timing``, so a run keeps no
+    Returns ``(SimResult, events, spans, engine_used, record)``, where
+    ``events`` is the replay record's sampled event log under
+    ``--metrics-out`` and ``engine_used`` the resolved
+    ``"reference"``/``"fast"``; ``record`` hands the record to
+    ``--timing`` (``None`` without ``--timing``, so a run keeps no
     record it does not integrate).
     """
-    from repro.obs.events import SamplingObserver
-
-    observer = SamplingObserver() if args.metrics_out else None
     spans = SpanRecorder() if args.metrics_out or args.trace_out else None
     engine_used = choose_engine(args.engine, policy)
     root = contextlib.nullcontext()
@@ -183,10 +181,9 @@ def _simulate(
         root = spans.span("sim")
     with root:
         record = replay(trace, policy, llc, spans, args.engine)
-        if observer is not None:
-            observer.observe(trace, record, CacheGeometry.from_config(llc))
+        events = sample_events(trace, record, llc) if args.metrics_out else None
     return (
-        record.result, observer, spans, engine_used,
+        record.result, events, spans, engine_used,
         record if args.timing else None,
     )
 
@@ -303,11 +300,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print()
         print(timing_table.render())
     if args.metrics_out:
-        for result, observer, spans, engine_used, _ in runs:
+        for result, events, spans, engine_used, _ in runs:
             manifest = sim_manifest(
                 result,
                 config=manifest_config,
-                observer=observer,
+                events=events,
                 spans=spans,
                 engine=engine_used,
             )

@@ -8,9 +8,9 @@ Small, dependency-free pieces that every execution path shares:
   nested ``with recorder.span("replay")`` timing blocks aggregating
   into a per-run phase breakdown, and a run's one bounded buffer of
   span events.
-* :mod:`repro.obs.events` — :class:`~repro.obs.events.SamplingObserver`,
+* :mod:`repro.obs.events` — :func:`~repro.obs.events.sample_events`,
   which reads a replay record's sampled events into per-stream/per-set
-  counts and an event ring.
+  counts and the newest events.
 * :mod:`repro.obs.manifest` — JSON run manifests (config + trace +
   metrics + phase timings + event summaries) with a schema validator.
 * :mod:`repro.obs.log` — stdlib logging under the ``repro`` hierarchy,
@@ -24,7 +24,7 @@ Small, dependency-free pieces that every execution path shares:
   artifacts: manifests (one row per run), journals and trace files.
 """
 
-from repro.obs.events import EventRing, SamplingObserver
+from repro.obs.events import sample_events
 from repro.obs.log import configure as configure_logging
 from repro.obs.log import get_logger
 from repro.obs.manifest import (
@@ -65,8 +65,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "SpanRecorder",
-    "EventRing",
-    "SamplingObserver",
+    "sample_events",
     "configure_logging",
     "get_logger",
     "SCHEMA_VERSION",

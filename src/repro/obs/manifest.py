@@ -42,7 +42,6 @@ import time
 from typing import Dict, List, Mapping, Optional
 
 from repro.errors import ObservabilityError
-from repro.obs.events import SamplingObserver
 from repro.obs.spans import SpanRecorder
 
 SCHEMA_VERSION = 1
@@ -108,13 +107,14 @@ def _envelope(kind: str, config, phases: Dict[str, object]) -> Dict[str, object]
 def sim_manifest(
     result,
     config=None,
-    observer: Optional[SamplingObserver] = None,
+    events: Optional[Dict[str, object]] = None,
     spans: Optional[SpanRecorder] = None,
     engine: Optional[str] = None,
 ) -> Dict[str, object]:
     """Manifest for one :class:`~repro.sim.results.SimResult`.
 
-    ``observer`` / ``spans`` are the run's live telemetry objects.
+    ``events`` is the run's :func:`~repro.obs.events.sample_events`
+    summary and ``spans`` its live phase recorder.
     ``engine`` records which replay engine produced the result
     (``"reference"`` or ``"fast"``, never the unresolved ``"auto"``).
     """
@@ -127,7 +127,7 @@ def sim_manifest(
         policy=result.policy,
         trace={"accesses": result.accesses, **_jsonable(result.trace_meta)},
         metrics=_jsonable(result.stats.snapshot()),
-        events=_jsonable(observer.summary()) if observer is not None else None,
+        events=events,
         extras=_jsonable(result.extras),
     )
     if engine is not None:

@@ -70,9 +70,9 @@ def simulate_trace(
 
     ``observer``, if given, is called once after the replay as
     ``observer.observe(trace, record, geometry)`` with the run's
-    :class:`~repro.sim.results.Replay` record (see
-    :class:`~repro.sim.epochs.EpochTracker` and
-    :class:`~repro.obs.events.SamplingObserver`).
+    :class:`~repro.sim.results.Replay` record (see :class:`RecordKeeper`,
+    through which :func:`replay` keeps it, and
+    :class:`~repro.sim.epochs.EpochTracker`).
 
     ``engine`` selects the replay implementation: ``"reference"`` (this
     module's hook-driven engine), ``"fast"`` (the specialized kernels

@@ -75,8 +75,8 @@ class Replay:
 
     The record every consumer of a replay reads instead of running its
     own LLC: the GPU timing models walk it, the miss classifier buckets
-    it, and observers (the epoch tracker, the sampled event log) derive
-    their outputs from it.  Both engines produce identical records.
+    it, and the epoch tracker and the sampled event log derive their
+    outputs from it.  Both engines produce identical records.
     """
 
     result: SimResult

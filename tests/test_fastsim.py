@@ -19,9 +19,9 @@ from repro.fastsim import (
 )
 from repro.fastsim.decode import mix_bits_array
 from repro.fastsim.kernels import _SPECS, kernel_for, kernel_source
-from repro.obs.events import SamplingObserver
+from repro.obs.events import sample_events
 from repro.sim.epochs import EpochTracker
-from repro.sim.offline import build_llc, replay, simulate_trace
+from repro.sim.offline import RecordKeeper, build_llc, replay, simulate_trace
 from repro.streams import Stream
 from repro.trace import synth
 from repro.trace.record import Trace
@@ -245,13 +245,14 @@ def test_choose_engine_auto_takes_kernels_under_observer(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(engine, "fast_simulate_trace", spy)
-    observer = SamplingObserver(sample_period=1)
+    keeper = RecordKeeper()
     trace = synth.random_trace(400, 128, seed=4)
-    result = simulate_trace(trace, "drrip", TINY, observer=observer)
+    result = simulate_trace(trace, "drrip", TINY, observer=keeper)
     [call] = calls
-    assert any(arg is observer for arg in call)
+    assert any(arg is keeper for arg in call)
     stats = result.stats
-    assert observer.sampled_events == stats.hits + stats.fills + stats.evictions
+    summary = sample_events(trace, keeper.record, TINY, 1)
+    assert summary["events"] == stats.hits + stats.fills + stats.evictions
 
 
 def test_choose_engine_reference_always_allowed():
@@ -288,9 +289,8 @@ def test_choose_engine_fast_accepts_observer():
     trace = synth.random_trace(600, 128, seed=6)
     summaries = {}
     for engine in ("reference", "fast"):
-        observer = SamplingObserver(sample_period=3)
-        simulate_trace(trace, "gspc", TINY, observer=observer, engine=engine)
-        summaries[engine] = observer.summary()
+        record = replay(trace, "gspc", TINY, engine=engine)
+        summaries[engine] = sample_events(trace, record, TINY, 3)
     assert summaries["fast"] == summaries["reference"]
     assert summaries["fast"]["events"] > 0
 

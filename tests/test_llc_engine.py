@@ -226,24 +226,20 @@ class TestObserver:
         """Observers read the engine's events off its replay record."""
         from helpers import make_trace
         from repro.config import CacheParams, LLCConfig
-        from repro.obs.events import KIND_NAMES, SamplingObserver
+        from repro.obs.events import sample_events
         from repro.sim.epochs import rt_transitions
-        from repro.sim.offline import replay, simulate_trace
+        from repro.sim.offline import replay
 
         trace = make_trace(
             [(0, Stream.RT, True), (0, Stream.TEXTURE), (9, Stream.Z)]
         )
         config = LLCConfig(params=CacheParams(64, ways=1), banks=1)
-        observer = SamplingObserver(sample_period=1)
-        simulate_trace(
-            trace, "lru", config, observer=observer, engine="reference"
-        )
-        events = observer.ring.events()
-        assert [KIND_NAMES[kind] for _, kind, _, _ in events] == [
+        record = replay(trace, "lru", config, engine="reference")
+        events = sample_events(trace, record, config, 1)["sampled"]["events"]
+        assert [event["kind"] for event in events] == [
             "fill", "hit", "evict", "fill",
         ]
-        assert [index for index, _, _, _ in events] == [0, 1, 2, 2]
-        record = replay(trace, "lru", config, engine="reference")
+        assert [event["access"] for event in events] == [0, 1, 2, 2]
         block_bits = CacheGeometry.from_config(config).block_bits
         # The texture hit saw the RT bit.
         _, consumed = rt_transitions(trace, record.outcomes, block_bits)

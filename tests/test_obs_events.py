@@ -1,11 +1,11 @@
-"""SamplingObserver correctness and ring-buffer behaviour."""
+"""The sampled event log of a replay record."""
 
 import pytest
 
-from repro.errors import ObservabilityError
 from repro.core.registry import available_policies
-from repro.obs.events import FILL, HIT, EventRing, SamplingObserver
-from repro.sim.offline import simulate_trace
+from repro.errors import ObservabilityError
+from repro.obs.events import sample_events
+from repro.sim.offline import replay
 from repro.streams import Stream
 from repro.trace import synth
 
@@ -16,30 +16,19 @@ POLICIES = [
 ]
 
 
-def test_ring_keeps_newest():
-    ring = EventRing(4)
-    for i in range(10):
-        ring.push((i, HIT, 0, 0))
-    assert len(ring) == 4
-    assert ring.pushed == 10
-    assert [event[0] for event in ring.events()] == [6, 7, 8, 9]
+def _summary(trace, policy, llc_config, sample_period):
+    record = replay(trace, policy, llc_config)
+    return sample_events(trace, record, llc_config, sample_period)
 
 
-def test_ring_before_wrap():
-    ring = EventRing(8)
-    for i in range(3):
-        ring.push((i, FILL, 1, 2))
-    assert [event[0] for event in ring.events()] == [0, 1, 2]
+def _total(summary, key):
+    return sum(counts[key] for counts in summary["per_stream"].values())
 
 
-def test_ring_rejects_bad_capacity():
+def test_observer_rejects_bad_period(small_llc_config):
+    trace = synth.cyclic_scan(num_blocks=8, repetitions=1)
     with pytest.raises(ObservabilityError):
-        EventRing(0)
-
-
-def test_observer_rejects_bad_period():
-    with pytest.raises(ObservabilityError):
-        SamplingObserver(sample_period=0)
+        _summary(trace, "lru", small_llc_config, 0)
 
 
 def test_period_one_matches_exact_cache_stats(small_llc_config):
@@ -48,67 +37,71 @@ def test_period_one_matches_exact_cache_stats(small_llc_config):
     sets for GS-DRRIP's four duels)."""
     trace = synth.random_trace(6000, 2048, seed=7)
     for policy in POLICIES:
-        observer = SamplingObserver(sample_period=1, ring_capacity=64)
-        result = simulate_trace(
-            trace, policy, small_llc_config, observer=observer
-        )
-        stats = result.stats
+        record = replay(trace, policy, small_llc_config)
+        summary = sample_events(trace, record, small_llc_config, 1)
+        stats = record.result.stats
         for stream in Stream:
-            assert observer.hits_of(stream) == stats.per_stream[stream].hits, policy
-        assert sum(observer.fills_of(s) for s in Stream) == stats.fills, policy
+            hits = summary["per_stream"][stream.short_name]["hits"]
+            assert hits == stats.per_stream[stream].hits, policy
+        assert _total(summary, "fills") == stats.fills, policy
+        assert _total(summary, "evictions") == stats.evictions, policy
         assert (
-            sum(observer.evictions_of(s) for s in Stream) == stats.evictions
-        ), policy
-        assert (
-            observer.sampled_events == stats.hits + stats.fills + stats.evictions
+            summary["events"] == stats.hits + stats.fills + stats.evictions
         ), policy
 
 
 def test_sampling_period_decimates_accesses(small_llc_config):
-    """Period N forwards the events of every N-th access only."""
+    """Period N gives the events of every N-th access only."""
     trace = synth.random_trace(6400, 2048, seed=3)
-    observer = SamplingObserver(sample_period=64, ring_capacity=10_000)
-    simulate_trace(trace, "lru", small_llc_config, observer=observer)
-    sampled_accesses = {event[0] for event in observer.ring.events()}
-    assert 0 < len(sampled_accesses) <= len(trace) // 64 + 1
-    # The engine decimates per access, so a sampled miss contributes its
-    # fill (and possibly evict) under one access index.
-    assert observer.estimated_events == observer.sampled_events * 64
+    summary = _summary(trace, "lru", small_llc_config, 64)
+    # 100 sampled accesses, each a hit, a fill, or an evict and a fill.
+    assert 100 <= summary["events"] <= 200
+    assert summary["events_estimated"] == summary["events"] * 64
+    listed = summary["sampled"]["events"]
+    assert len(listed) == 64
+    assert all(event["access"] % 64 == 0 for event in listed)
+    assert listed[-1]["access"] == 6336
 
 
 def test_summary_shape(small_llc_config):
     trace = synth.random_trace(3000, 1024, seed=5)
-    observer = SamplingObserver(sample_period=4)
-    simulate_trace(trace, "lru", small_llc_config, observer=observer)
-    summary = observer.summary(max_samples=16)
+    summary = _summary(trace, "lru", small_llc_config, 4)
     assert summary["sample_period"] == 4
-    assert summary["events"] == observer.sampled_events
-    assert summary["events_estimated"] == observer.sampled_events * 4
+    assert summary["events"] == sum(
+        _total(summary, key) for key in ("hits", "fills", "evictions")
+    )
+    assert summary["events_estimated"] == summary["events"] * 4
     assert set(summary["per_stream"]) == {s.short_name for s in Stream}
-    assert len(summary["sampled"]["events"]) <= 16
-    for event in summary["sampled"]["events"]:
+    sampled = summary["sampled"]
+    assert sampled["capacity"] == 1024
+    assert sampled["pushed"] == summary["events"]
+    assert sampled["recorded"] == min(summary["events"], 1024)
+    assert len(sampled["events"]) == 64
+    for event in sampled["events"]:
         assert event["kind"] in ("hit", "fill", "evict")
-    assert summary["hot_sets"] == observer.hot_sets()
+    activity = [
+        entry["hits"] + entry["fills"] + entry["evictions"]
+        for entry in summary["hot_sets"]
+    ]
+    assert len(activity) == 8
+    assert activity == sorted(activity, reverse=True)
     assert summary["sets_sampled"] >= len(summary["hot_sets"])
 
 
 def test_hot_sets_ranked_by_activity(small_llc_config):
-    observer = SamplingObserver(sample_period=1)
     # Set 3: one fill then five hits; set 9: one fill then one hit.
     entries = [(3, Stream.TEXTURE)] * 6 + [(9, Stream.TEXTURE)] * 2
-    simulate_trace(make_trace(entries), "lru", small_llc_config, observer=observer)
-    hot = observer.hot_sets(top=2)
+    hot = _summary(make_trace(entries), "lru", small_llc_config, 1)["hot_sets"]
     assert [entry["set"] for entry in hot] == [3, 9]
     assert hot[0]["hits"] == 5
     assert hot[1] == {"set": 9, "hits": 1, "fills": 1, "evictions": 0}
 
 
 def test_hot_sets_tie_in_first_seen_order(small_llc_config):
-    observer = SamplingObserver(sample_period=1)
     # Sets 9 and 3 each see one fill and one hit; set 9 is seen first.
     entries = [(9, Stream.TEXTURE)] * 2 + [(3, Stream.TEXTURE)] * 2
-    simulate_trace(make_trace(entries), "lru", small_llc_config, observer=observer)
-    assert observer.hot_sets() == [
+    hot = _summary(make_trace(entries), "lru", small_llc_config, 1)["hot_sets"]
+    assert hot == [
         {"set": 9, "hits": 1, "fills": 1, "evictions": 0},
         {"set": 3, "hits": 1, "fills": 1, "evictions": 0},
     ]
@@ -116,7 +109,7 @@ def test_hot_sets_tie_in_first_seen_order(small_llc_config):
 
 def test_full_reuse_has_no_evictions(small_llc_config):
     trace = synth.cyclic_scan(num_blocks=64, repetitions=4)
-    observer = SamplingObserver(sample_period=1)
-    result = simulate_trace(trace, "lru", small_llc_config, observer=observer)
-    assert sum(observer.evictions_of(s) for s in Stream) == 0
-    assert sum(observer.fills_of(s) for s in Stream) == result.misses
+    record = replay(trace, "lru", small_llc_config)
+    summary = sample_events(trace, record, small_llc_config, 1)
+    assert _total(summary, "evictions") == 0
+    assert _total(summary, "fills") == record.result.misses

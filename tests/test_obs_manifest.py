@@ -10,7 +10,7 @@ from repro.cli import main as sim_main
 from repro.config import CacheParams, KB, LLCConfig
 from repro.errors import ObservabilityError
 from repro.gpu.timing import simulate_frame_timing
-from repro.obs.events import SamplingObserver
+from repro.obs.events import sample_events
 from repro.obs.manifest import (
     SCHEMA_VERSION,
     check_manifest,
@@ -24,7 +24,7 @@ from repro.obs.manifest import (
     write_manifest,
 )
 from repro.obs.spans import SpanRecorder
-from repro.sim.offline import simulate_trace
+from repro.sim.offline import replay
 from repro.trace import synth
 
 LLC = LLCConfig(params=CacheParams(32 * KB, ways=4), banks=1, sample_period=8)
@@ -33,18 +33,17 @@ LLC = LLCConfig(params=CacheParams(32 * KB, ways=4), banks=1, sample_period=8)
 @pytest.fixture
 def sim_run():
     trace = synth.random_trace(3000, 1024, seed=11)
-    observer = SamplingObserver(sample_period=4)
     spans = SpanRecorder()
-    result = simulate_trace(trace, "drrip", LLC, observer=observer, spans=spans)
-    return result, observer, spans
+    record = replay(trace, "drrip", LLC, spans=spans)
+    return record.result, sample_events(trace, record, LLC, 4), spans
 
 
 def test_sim_manifest_contents(sim_run):
-    result, observer, spans = sim_run
+    result, events, spans = sim_run
     manifest = sim_manifest(
         result,
         config={"llc": dataclasses.asdict(LLC)},
-        observer=observer,
+        events=events,
         spans=spans,
     )
     assert manifest["schema_version"] == SCHEMA_VERSION
@@ -65,8 +64,8 @@ def test_sim_manifest_contents(sim_run):
 
 
 def test_manifest_round_trip(tmp_path, sim_run):
-    result, observer, spans = sim_run
-    manifest = sim_manifest(result, config={}, observer=observer, spans=spans)
+    result, events, spans = sim_run
+    manifest = sim_manifest(result, config={}, events=events, spans=spans)
     path = write_manifest(manifest, str(tmp_path))
     assert os.path.basename(path) == manifest_filename(manifest)
     loaded = load_manifest(path)

@@ -1,6 +1,6 @@
 """Observers of a replay: pinned outputs and engine equivalence.
 
-``SamplingObserver`` and ``EpochTracker`` derive their outputs from a
+``sample_events`` and ``EpochTracker`` derive their outputs from a
 replay's :class:`~repro.sim.results.Replay` record after the replay, so:
 
 * their outputs must equal the values they produced when both still ran
@@ -25,7 +25,7 @@ import pytest
 from repro.config import paper_baseline
 from repro.core.base import NEVER
 from repro.fastsim import FAST_POLICIES
-from repro.obs.events import SamplingObserver
+from repro.obs.events import sample_events
 from repro.sim.epochs import EpochTracker, rt_transitions
 from repro.sim.future import next_use_indices
 from repro.sim.offline import build_llc, replay, simulate_trace
@@ -58,12 +58,10 @@ def _jsonable(value):
 
 
 def _summaries(trace, llc, policy, engine):
-    summaries = {}
-    for period in PERIODS:
-        observer = SamplingObserver(sample_period=period)
-        simulate_trace(trace, policy, llc, observer=observer, engine=engine)
-        summaries[str(period)] = observer.summary()
-    return _jsonable(summaries)
+    record = replay(trace, policy, llc, engine=engine)
+    return _jsonable(
+        {str(period): sample_events(trace, record, llc, period) for period in PERIODS}
+    )
 
 
 def _epochs(trace, llc, policy, engine):
