@@ -88,8 +88,9 @@ class ExperimentConfig:
 
 # -- frame trace cache ---------------------------------------------------------
 
-def frame_trace(spec: FrameSpec, config: ExperimentConfig) -> Trace:
-    """The LLC trace of one frame, memoised on disk.
+def frame_trace_path(spec: FrameSpec, config: ExperimentConfig) -> Optional[str]:
+    """Where :func:`frame_trace` caches ``spec``'s trace, or ``None``
+    when it uses no cache (no ``cache_dir``, ``replay:`` sources).
 
     The cache namespace keys on the source's content identity
     (:meth:`~repro.trace.sources.TraceSource.cache_token`): the
@@ -98,22 +99,31 @@ def frame_trace(spec: FrameSpec, config: ExperimentConfig) -> Trace:
     names never collide), and sources whose files are already
     replay-ready (``replay:``) bypass the cache entirely.
     """
-    source = config.trace_source()
-    token = source.cache_token()
+    token = config.trace_source().cache_token()
     if config.cache_dir is None or token is None:
-        return source.frame_trace(spec.app.abbrev, spec.frame_index, config.scale)
-    stem = f"{spec.app.abbrev}_f{spec.frame_index}_s{config.scale:g}"
-    traces_dir = os.path.join(config.cache_dir, "traces")
-    if token:
-        traces_dir = os.path.join(traces_dir, token)
-    path = os.path.join(traces_dir, stem + ".gsct")
-    if os.path.exists(path):
+        return None
+    return os.path.join(
+        config.cache_dir,
+        "traces",
+        token,  # "" joins as nothing: the flat layout
+        f"{spec.app.abbrev}_f{spec.frame_index}_s{config.scale:g}.gsct",
+    )
+
+
+def frame_trace(spec: FrameSpec, config: ExperimentConfig) -> Trace:
+    """The LLC trace of one frame, memoised on disk at
+    :func:`frame_trace_path`."""
+    path = frame_trace_path(spec, config)
+    if path is not None and os.path.exists(path):
         try:
             return load_trace(path)  # columnar: memmapped zero-copy
         except ReproError:
             pass  # stale/corrupt cache entry: regenerate below
-    trace = source.frame_trace(spec.app.abbrev, spec.frame_index, config.scale)
-    save_trace(trace, path)
+    trace = config.trace_source().frame_trace(
+        spec.app.abbrev, spec.frame_index, config.scale
+    )
+    if path is not None:
+        save_trace(trace, path)
     return trace
 
 

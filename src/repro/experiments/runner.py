@@ -28,6 +28,7 @@ from repro.experiments.common import (
     _cache_key,
     all_experiments,
     frame_spec_for,
+    frame_trace_path,
     get_experiment,
     seed_frame_characterization,
     seed_frame_result,
@@ -136,23 +137,23 @@ def plan_for_experiment(
 
     Each sim/char job carries ``config.llc_mb`` and depends on its
     frame's trace job; one whose result an earlier experiment already
-    memoised in-process is left out.  Returns an empty list when the
-    experiment declares no parallelizable work (it then runs serially,
-    unchanged).
+    memoised in-process is left out.  A trace job is planned only for a
+    frame the disk cache lacks: each frame is then generated exactly
+    once and published through the concurrency-safe cache.  Without a
+    cache the generated trace could not reach the other workers, and
+    the sim jobs' edges to a trace job the plan lacks are ignored (a
+    sim job whose cached frame went missing or stale regenerates it).
+    Returns an empty list when the experiment declares no
+    parallelizable work (it then runs serially, unchanged).
     """
     from repro.sweep.spec import JOB_KINDS, SweepJob
 
     frames = config.frames() if experiment.needs_traces else []
     jobs: List[SweepJob] = []
-    if frames and config.cache_dir is not None:
-        # Each frame generated exactly once, published via the
-        # concurrency-safe disk cache.  Pointless without a cache — the
-        # generated trace could not reach the other workers (and the
-        # sim jobs' edges to it are then ignored).
-        jobs.extend(
-            SweepJob("trace", spec.app.abbrev, spec.frame_index)
-            for spec in frames
-        )
+    for spec in frames:
+        path = frame_trace_path(spec, config)
+        if path is not None and not os.path.exists(path):
+            jobs.append(SweepJob("trace", spec.app.abbrev, spec.frame_index))
     for kind, policies, memo in (
         ("sim", experiment.sim_policies, _SIM_CACHE),
         ("char", experiment.char_policies, _CHAR_CACHE),

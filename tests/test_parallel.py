@@ -34,7 +34,8 @@ TINY = ExperimentConfig(scale=0.03125, frames_per_app=1, cache_dir=None)
 
 @pytest.fixture(scope="module")
 def cached(tmp_path_factory):
-    """``TINY`` over a module-wide trace cache (plans get trace jobs)."""
+    """``TINY`` over a module-wide trace cache (plans get trace jobs
+    for the frames it lacks)."""
     cache = str(tmp_path_factory.mktemp("trace-cache"))
     return dataclasses.replace(TINY, cache_dir=cache)
 
@@ -77,8 +78,8 @@ def test_simjob_validation():
 
 # -- planning -----------------------------------------------------------------
 
-def test_plan_covers_declared_policies_and_dedups():
-    config = dataclasses.replace(TINY, cache_dir=".repro_cache")
+def test_plan_covers_declared_policies_and_dedups(tmp_path):
+    config = dataclasses.replace(TINY, cache_dir=str(tmp_path))
     experiment = get_experiment("fig12")
     plan = plan_for_experiment(experiment, config)
     assert len(plan) == len(set(plan))
@@ -109,18 +110,37 @@ def test_plan_characterization_jobs():
 
 
 def test_plan_leaves_out_memoised_results(cached):
-    """A plan holds only what the in-process memo lacks: once fig01 has
-    run, fig05 (a subset of fig01's policies) plans its trace jobs and
-    no sim job."""
+    """A plan holds only what the in-process memo and the trace cache
+    lack: once fig01 has run, fig05 (a subset of fig01's policies) plans
+    nothing."""
     fig05 = get_experiment("fig05")
     assert any(job.kind == "sim" for job in plan_for_experiment(fig05, cached))
     get_experiment("fig01").run(cached)
-    plan = plan_for_experiment(fig05, cached)
-    assert [job.kind for job in plan] == ["trace"] * len(cached.frames())
+    assert plan_for_experiment(fig05, cached) == []
 
 
-def test_plan_jobs_carry_the_llc_and_depend_on_their_frames_trace():
-    config = dataclasses.replace(TINY, cache_dir=".repro_cache", llc_mb=16)
+def test_plan_traces_only_frames_the_cache_lacks(tmp_path):
+    """A trace job is planned only for a frame whose trace the disk
+    cache lacks: one per frame on an empty cache, none on a warm one."""
+    config = dataclasses.replace(TINY, cache_dir=str(tmp_path))
+    fig05 = get_experiment("fig05")
+    frames = config.frames()
+
+    def planned_traces():
+        plan = plan_for_experiment(fig05, config)
+        return [(job.app, job.frame_index) for job in plan if job.kind == "trace"]
+
+    everything = [(spec.app.abbrev, spec.frame_index) for spec in frames]
+    assert planned_traces() == sorted(everything)
+    frame_trace(frames[0], config)
+    assert planned_traces() == sorted(everything[1:])
+    for spec in frames[1:]:
+        frame_trace(spec, config)
+    assert planned_traces() == []
+
+
+def test_plan_jobs_carry_the_llc_and_depend_on_their_frames_trace(tmp_path):
+    config = dataclasses.replace(TINY, cache_dir=str(tmp_path), llc_mb=16)
     plan = plan_for_experiment(get_experiment("fig07"), config)
     for job in plan:
         if job.kind == "trace":
@@ -224,11 +244,12 @@ def test_run_plan_outcomes_in_plan_order_and_progress_ordered(cached):
     assert counters == [f"[{k}/{len(plan)}" for k in range(1, len(plan) + 1)]
 
 
-def test_run_plan_sim_jobs_depend_on_their_frames_trace(cached, monkeypatch):
+def test_run_plan_sim_jobs_depend_on_their_frames_trace(tmp_path, monkeypatch):
     """Each sim job waits for its frame's trace job; without a cache the
     plan has no trace jobs and the dangling edges are ignored."""
     from repro.sweep import exec as sweep_exec
 
+    cached = dataclasses.replace(TINY, cache_dir=str(tmp_path))
     scheduled = []
 
     class Recording(sweep_exec.SweepRunner):
@@ -298,7 +319,7 @@ def test_worker_spans_ship_across_processes(cached):
     assert validate_trace(build_chrome_trace(events, run_id)) == []
 
 
-def test_run_jobs_ships_events_in_plan_order(cached):
+def test_run_jobs_ships_events_in_plan_order(tmp_path):
     """Outcomes come back in plan order.  The caller's recorder gets one
     orchestrator ``attempt`` span per job and each job's own worker
     events: stamped with that job's sweep id, under one root span named
@@ -306,6 +327,7 @@ def test_run_jobs_ships_events_in_plan_order(cached):
     is not recording events gets none."""
     from repro.obs.spans import SpanRecorder
 
+    cached = dataclasses.replace(TINY, cache_dir=str(tmp_path))
     recorder = _traced_recorder()
     plan = [
         job for job in plan_for_experiment(get_experiment("fig08"), cached)
