@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 
 from repro.cache.llc import HIT, MISS
 from repro.config import SystemConfig
-from repro.gpu.shader import WORK_FLOPS_PER_ACCESS
+from repro.gpu.shader import SHADER_EFFICIENCY, WORK_FLOPS_PER_ACCESS
 from repro.sim.offline import PolicyLike, check_record, replay
 from repro.sim.results import Replay
 from repro.trace.record import Trace
@@ -85,7 +85,7 @@ class DetailedGPUSimulator:
         check_record(record, trace)
         stats = record.result.stats
 
-        flops_per_ns = gpu.peak_tflops * 1e3 * 0.55
+        flops_per_ns = gpu.peak_tflops * 1e3 * SHADER_EFFICIENCY
         contexts = gpu.thread_contexts
         llc_hit_ns = gpu.llc_latency_ns
         cycle_ns = dram.cycle_ns

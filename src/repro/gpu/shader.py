@@ -35,6 +35,8 @@ WORK_FLOPS_PER_ACCESS = {
     int(Stream.DISPLAY): 400.0,
     int(Stream.OTHER): 400.0,
 }
+#: Achievable fraction of peak on real shader mixes.
+SHADER_EFFICIENCY = 0.55
 
 
 class ShaderModel:
@@ -44,15 +46,13 @@ class ShaderModel:
         self.gpu = gpu
         #: Aggregate FLOPs per nanosecond.
         self.flops_per_ns = gpu.peak_tflops * 1e3
-        #: Achievable fraction of peak on real shader mixes.
-        self.efficiency = 0.55
 
     def compute_ns(self, stream_counts) -> float:
         """Shading time of one window given per-stream access counts."""
         flops = 0.0
         for stream, count in stream_counts.items():
             flops += WORK_FLOPS_PER_ACCESS[int(stream)] * count
-        return flops / (self.flops_per_ns * self.efficiency)
+        return flops / (self.flops_per_ns * SHADER_EFFICIENCY)
 
     def exposed_latency_ns(self, misses: int, miss_latency_ns: float) -> float:
         """Latency not hidden by multithreading.
