@@ -188,10 +188,7 @@ def run_job_in_worker(payload: Dict[str, object], out_path: str) -> None:
         llc_mb=job.llc_mb,
         cache_dir=payload["cache_dir"],  # type: ignore[arg-type]
         engine=str(payload["engine"]),
-        # Pre-source payloads (an old journal replayed by a newer
-        # binary) default to the synthetic renderer, matching their
-        # original meaning.
-        source=str(payload.get("source", "synthetic")),
+        source=str(payload["source"]),
     )
     trace_ctx = TraceContext.from_dict(payload.get("trace_ctx"))  # type: ignore[arg-type]
     outcome = execute_job(job, config, trace_ctx=trace_ctx)

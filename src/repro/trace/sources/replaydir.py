@@ -19,6 +19,7 @@ from repro.errors import SourceError
 from repro.trace.io import load_trace
 from repro.trace.record import Trace
 from repro.trace.sources import SourceWorkload
+from repro.wal import write_atomic
 from repro.workloads.apps import FrameSpec
 
 #: Manifest identification.
@@ -48,11 +49,7 @@ def write_replay_manifest(
         "frames": frames,
     }
     path = os.path.join(directory, MANIFEST_NAME)
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -8,8 +8,7 @@ Subcommands
     Generate one frame per named preset (``--frame``/``--scale``) and
     check it against the Table 1 characterization envelope.  Exit-code
     contract matches ``gspc-ingest``: 0 every checked preset conforms,
-    2 usage error, 3 at least one envelope violation.  ``--expect``
-    inverts the gate for CI legs that pin deliberate non-conformance.
+    2 usage error, 3 at least one envelope violation.
 """
 
 from __future__ import annotations
@@ -72,21 +71,11 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     violating = 0
-    report = []
     for name in args.names:
         workload = family_by_name(name)
         trace = workload.generate(args.frame, args.scale)
         characterization = characterize_capture(trace)
         violations = check_envelope(characterization)
-        report.append(
-            {
-                "name": workload.name,
-                "family": workload.family,
-                "accesses": characterization["accesses"],
-                "classes": characterization["classes"],
-                "violations": violations,
-            }
-        )
         verdict = "CONFORMS" if not violations else "VIOLATES"
         print(
             f"{workload.name}: {verdict} "
@@ -96,14 +85,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"  - {violation}")
         if violations:
             violating += 1
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-    conformant = violating == 0
-    if args.expect == "violate":
-        return EXIT_OK if not conformant else EXIT_PARTIAL
-    return EXIT_OK if conformant else EXIT_PARTIAL
+    return EXIT_OK if violating == 0 else EXIT_PARTIAL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,15 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_parser.add_argument("--frame", type=int, default=0)
     check_parser.add_argument("--scale", type=float, default=0.0625)
-    check_parser.add_argument(
-        "--expect",
-        choices=["conform", "violate"],
-        default="conform",
-        help="invert the gate: exit 0 only when presets violate the envelope",
-    )
-    check_parser.add_argument(
-        "--json-out", default=None, help="write the characterization report"
-    )
     check_parser.set_defaults(func=_cmd_check)
     return parser
 
