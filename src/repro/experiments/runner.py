@@ -138,11 +138,11 @@ def plan_for_experiment(
     Each sim/char job carries ``config.llc_mb`` and depends on its
     frame's trace job; one whose result an earlier experiment already
     memoised in-process is left out.  A trace job is planned only for a
-    frame the disk cache lacks: each frame is then generated exactly
-    once and published through the concurrency-safe cache.  Without a
-    cache the generated trace could not reach the other workers, and
-    the sim jobs' edges to a trace job the plan lacks are ignored (a
-    sim job whose cached frame went missing or stale regenerates it).
+    frame whose :func:`frame_trace_path` does not exist yet, so each
+    frame is generated once and published through the concurrency-safe
+    disk cache (without a cache the trace could not reach the other
+    workers).  Edges to trace jobs the plan lacks are ignored; a sim job
+    whose frame went missing or stale since planning regenerates it.
     Returns an empty list when the experiment declares no
     parallelizable work (it then runs serially, unchanged).
     """

@@ -90,10 +90,13 @@ def sample_events(
             for stream in Stream
         },
         "hot_sets": [
-            {"set": set_index, "hits": hits, "fills": fill_count, "evictions": evictions}
-            for set_index, (hits, fill_count, evictions) in zip(
-                seen[hot].tolist(), per_set[hot].tolist()
-            )
+            {
+                "set": set_index,
+                "hits": counts[HIT],
+                "fills": counts[FILL],
+                "evictions": counts[EVICT],
+            }
+            for set_index, counts in zip(seen[hot].tolist(), per_set[hot].tolist())
         ],
         "sampled": {
             "capacity": RING_CAPACITY,

@@ -1,7 +1,11 @@
 """The sampled event log of a replay record."""
 
+import json
+
 import pytest
 
+from repro.cache.geometry import CacheGeometry
+from repro.cache.llc import BYPASS, MISS
 from repro.core.registry import available_policies
 from repro.errors import ObservabilityError
 from repro.obs.events import sample_events
@@ -23,6 +27,75 @@ def _summary(trace, policy, llc_config, sample_period):
 
 def _total(summary, key):
     return sum(counts[key] for counts in summary["per_stream"].values())
+
+
+def _walked_summary(trace, record, llc_config, sample_period):
+    """The summary by a walk over every access, in which a per-set fill
+    count decides whether a fill evicts."""
+    geometry = CacheGeometry.from_config(llc_config)
+    fills = {}
+    events = []
+    for index, (address, stream, outcome) in enumerate(
+        zip(trace.addresses.tolist(), trace.streams.tolist(), record.outcomes.tolist())
+    ):
+        if outcome == BYPASS:
+            continue
+        set_index = (address >> geometry.block_bits) & (geometry.num_sets - 1)
+        kinds = ["hits"]
+        if outcome == MISS:
+            fills[set_index] = fills.get(set_index, 0) + 1
+            full = fills[set_index] > geometry.ways
+            kinds = ["evictions", "fills"] if full else ["fills"]
+        if index % sample_period == 0:
+            events.extend((index, kind, stream, set_index) for kind in kinds)
+    per_stream = {s.short_name: {"hits": 0, "fills": 0, "evictions": 0} for s in Stream}
+    per_set = {}
+    for _, kind, stream, set_index in events:
+        per_stream[Stream(stream).short_name][kind] += 1
+        blank = {"set": set_index, "hits": 0, "fills": 0, "evictions": 0}
+        per_set.setdefault(set_index, blank)[kind] += 1
+    names = {"hits": "hit", "fills": "fill", "evictions": "evict"}
+    return {
+        "events": len(events),
+        "events_estimated": len(events) * sample_period,
+        "sample_period": sample_period,
+        "sets_sampled": len(per_set),
+        "per_stream": per_stream,
+        "hot_sets": sorted(
+            per_set.values(),
+            key=lambda entry: entry["hits"] + entry["fills"] + entry["evictions"],
+            reverse=True,
+        )[:8],
+        "sampled": {
+            "capacity": 1024,
+            "recorded": min(len(events), 1024),
+            "pushed": len(events),
+            "events": [
+                {
+                    "access": index,
+                    "kind": names[kind],
+                    "stream": Stream(stream).short_name,
+                    "set": set_index,
+                }
+                for index, kind, stream, set_index in events[-64:]
+            ],
+        },
+    }
+
+
+@pytest.mark.parametrize("sample_period", [1, 7, 64])
+@pytest.mark.parametrize("policy", ["lru", "drrip+ucd", "gspc+bypass", "belady"])
+def test_summary_matches_a_walk_over_every_access(
+    small_llc_config, policy, sample_period
+):
+    """The vectorised summary equals, key order included, one built by
+    walking every access of the record."""
+    trace = synth.random_trace(6000, 2048, seed=7)
+    record = replay(trace, policy, small_llc_config)
+    summary = sample_events(trace, record, small_llc_config, sample_period)
+    assert json.dumps(summary) == json.dumps(
+        _walked_summary(trace, record, small_llc_config, sample_period)
+    )
 
 
 def test_observer_rejects_bad_period(small_llc_config):
