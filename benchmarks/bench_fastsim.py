@@ -1,6 +1,6 @@
 """Fast-engine vs reference-engine replay throughput.
 
-Runs every fast-covered policy through both engines on the same traces,
+Runs every registry policy through both engines on the same traces,
 hard-fails unless the results are byte-identical, and reports the
 replay-loop speedup per policy::
 
@@ -25,14 +25,14 @@ against the committed ``BENCH_fastsim.json``.
 """
 
 from repro.config import CacheParams, KB, MB, LLCConfig
-from repro.fastsim import FAST_POLICIES
+from repro.core.registry import available_policies
 from repro.sim.offline import simulate_trace
 from repro.trace import synth
 
-#: Every covered base policy, plus ``gspc+ucd`` — the paper's headline
+#: Every registry base policy, plus ``gspc+ucd`` — the paper's headline
 #: configuration (GSPC with the DISPLAY stream uncached) gets its own
 #: gated row rather than riding on plain ``gspc``.
-BENCH_POLICIES = FAST_POLICIES + ("gspc+ucd",)
+BENCH_POLICIES = available_policies() + ("gspc+ucd",)
 
 WORKLOADS = (
     (

@@ -132,11 +132,8 @@ class LLC:
         sclass = ctx.sclass
         if sclass == _TEX_CLASS:
             if was_rt:
-                stats.tex_inter_hits += 1
                 stats.rt_consumed += 1
                 self._rt_flag[slot] = False
-            else:
-                stats.tex_intra_hits += 1
         elif sclass == _RT_CLASS and not was_rt:
             # A render-target access re-acquires a resident block
             # (render-target object reuse): a fresh production.

@@ -37,8 +37,6 @@ class LLCStats:
         "evictions",
         "writebacks",
         "fills",
-        "tex_inter_hits",
-        "tex_intra_hits",
         "rt_produced",
         "rt_consumed",
         "dram_reads",
@@ -52,11 +50,6 @@ class LLCStats:
         self.evictions = 0
         self.writebacks = 0
         self.fills = 0
-        #: Texture hits satisfied by a block carrying the RT bit
-        #: (render-target production consumed by the samplers).
-        self.tex_inter_hits = 0
-        #: Texture hits on blocks without the RT bit.
-        self.tex_intra_hits = 0
         #: Render-target blocks produced into the LLC (fills + blocks
         #: re-acquired by the RT stream while resident).
         self.rt_produced = 0
@@ -127,6 +120,17 @@ class LLCStats:
         """Fraction of produced render-target blocks consumed as texture
         through the LLC (the lower panel of Figure 6)."""
         return self.rt_consumed / self.rt_produced if self.rt_produced else 0.0
+
+    @property
+    def tex_inter_hits(self) -> int:
+        """Texture hits satisfied by a block carrying the RT bit: each
+        one consumes a render-target production."""
+        return self.rt_consumed
+
+    @property
+    def tex_intra_hits(self) -> int:
+        """Texture hits on blocks without the RT bit."""
+        return self.class_hits(StreamClass.TEX) - self.rt_consumed
 
     @property
     def tex_inter_fraction(self) -> float:

@@ -21,7 +21,7 @@ import dataclasses
 import functools
 import inspect
 import re
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Tuple, Union
 
 from repro.core.base import ReplacementPolicy
 from repro.core.belady import BeladyPolicy
@@ -163,33 +163,21 @@ def _bind_parameter(
 
 
 #: Anything the simulators accept as a policy argument.
-PolicyLike = Union[str, PolicySpec, ReplacementPolicy]
+PolicyLike = Union[str, ReplacementPolicy]
 
 
-def resolve_policy(
-    policy: PolicyLike, uncached_streams: Optional[Iterable[Stream]] = None
-) -> "Tuple[ReplacementPolicy, FrozenSet[Stream]]":
-    """Resolve a name/spec/instance into ``(instance, uncached streams)``.
+def resolve_policy(policy: PolicyLike) -> "Tuple[ReplacementPolicy, FrozenSet[Stream]]":
+    """Resolve a name or instance into ``(instance, uncached streams)``.
 
     The shared front door of both simulation engines: a registry name
-    (``"gspc+ucd"``) resolves through :func:`policy_spec`, a
-    :class:`PolicySpec` is built directly, and a ready policy instance
-    passes through.  An explicit ``uncached_streams`` overrides whatever
-    the spec declares (e.g. the ``+ucd`` suffix).
+    (``"gspc+ucd"``) resolves through :func:`policy_spec`, whose ``+ucd``
+    suffix is the only source of uncached streams, and a ready policy
+    instance passes through, caching every stream.
     """
     if isinstance(policy, str):
         spec = policy_spec(policy)
-        instance = spec.build()
-        uncached = spec.uncached_streams
-    elif isinstance(policy, PolicySpec):
-        instance = policy.build()
-        uncached = policy.uncached_streams
-    else:
-        instance = policy
-        uncached = frozenset()
-    if uncached_streams is not None:
-        uncached = frozenset(uncached_streams)
-    return instance, uncached
+        return spec.build(), spec.uncached_streams
+    return policy, frozenset()
 
 
 def make_policy(name: str, **kwargs: object) -> ReplacementPolicy:

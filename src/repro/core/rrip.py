@@ -69,8 +69,5 @@ class RRIPPolicy(ReplacementPolicy):
     def on_hit(self, ctx: AccessContext, way: int) -> None:
         self.rrpv[ctx.set_index * self.geometry.ways + way] = 0
 
-    def set_rrpv(self, set_index: int, way: int, value: int) -> None:
-        self.rrpv[set_index * self.geometry.ways + way] = value
-
     def get_rrpv(self, set_index: int, way: int) -> int:
         return self.rrpv[set_index * self.geometry.ways + way]

@@ -8,7 +8,7 @@ and replays it through one *specialized* per-policy loop
 array-backed simulator structure of the SHiP/DRRIP artifact lineage.
 The kernels mirror the policies' transitions and keep only policy
 state; every statistic is derived from the replay record afterwards
-(the RT bit's four inter-stream counts by
+(the RT bit's productions and consumptions by
 :func:`repro.sim.epochs.rt_transitions`).  The results are
 byte-identical to the reference engine's, which counts the same
 statistics online: CI enforces it (the ``engine-equivalence`` job) and
@@ -25,9 +25,7 @@ from repro.fastsim.dispatch import (
     ENGINE_FAST,
     ENGINE_REFERENCE,
     ENGINES,
-    FAST_POLICIES,
     choose_engine,
-    supports_policy,
 )
 from repro.fastsim.engine import fast_simulate_trace
 
@@ -36,8 +34,6 @@ __all__ = [
     "ENGINE_FAST",
     "ENGINE_REFERENCE",
     "ENGINES",
-    "FAST_POLICIES",
     "choose_engine",
     "fast_simulate_trace",
-    "supports_policy",
 ]

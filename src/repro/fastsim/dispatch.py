@@ -4,10 +4,10 @@ Every policy class the registry builds has a kernel: ``nru``, ``lru``,
 ``bip``, ``dip``, ``srrip``, ``brrip``, ``drrip`` (any RRPV width),
 ``gs-drrip`` (per-stream-class duels, any RRPV width), ``ship-mem``,
 ``belady``, and the paper's GSPC family — ``gspztc``, ``gspztc+tse``,
-``gspc`` and ``gspc+bypass``.  So ``FAST_POLICIES`` equals
-:func:`~repro.core.registry.available_policies`, and only an ad-hoc
-policy instance whose exact class has no kernel (a subclass overriding
-hooks, say) needs the reference engine.
+``gspc`` and ``gspc+bypass``.  So every name
+:func:`~repro.core.registry.available_policies` lists runs on a kernel,
+and only an ad-hoc policy instance whose exact class has no kernel (a
+subclass overriding hooks, say) needs the reference engine.
 
 ``auto`` (the default everywhere) picks the fast engine exactly when it
 is applicable and silently falls back otherwise, so results never
@@ -18,7 +18,7 @@ ad-hoc instance whose class has no kernel on the reference engine.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.base import ReplacementPolicy
 from repro.core.belady import BeladyPolicy
@@ -32,12 +32,7 @@ from repro.core.gspztc import GSPZTCPolicy
 from repro.core.gspztc_tse import GSPZTCTSEPolicy
 from repro.core.lru import LRUPolicy
 from repro.core.nru import NRUPolicy
-from repro.core.registry import (
-    PolicyLike,
-    available_policies,
-    policy_spec,
-    resolve_policy,
-)
+from repro.core.registry import PolicyLike, resolve_policy
 from repro.core.ship import SHiPMemPolicy
 from repro.core.srrip import SRRIPPolicy
 from repro.errors import SimulationError
@@ -71,36 +66,9 @@ _KERNEL_OF_TYPE = {
 }
 
 
-def _covered_registry_names() -> Tuple[str, ...]:
-    """Registry base names whose *built* policy has a kernel.
-
-    Derived from the registry rather than hand-listed, so the strict
-    ``--engine fast`` error and the benchmarks enumerate exactly the
-    covered names, and a registry name added without a kernel is
-    missing here.
-    """
-    names = []
-    for name in available_policies():
-        if type(policy_spec(name).build()) in _KERNEL_OF_TYPE:
-            names.append(name)
-    return tuple(sorted(names))
-
-
-#: Registry base names covered by the fast engine: all of them (each
-#: also accepts ``+ucd`` and any constructor parameter — coverage is by
-#: class).
-FAST_POLICIES = _covered_registry_names()
-
-
 def kernel_kind(instance: ReplacementPolicy) -> Optional[str]:
     """The kernel name for a bound-ready policy instance, or ``None``."""
     return _KERNEL_OF_TYPE.get(type(instance))
-
-
-def supports_policy(policy: PolicyLike) -> bool:
-    """Whether the fast engine has a kernel for ``policy``."""
-    instance, _ = resolve_policy(policy)
-    return kernel_kind(instance) is not None
 
 
 def choose_engine(engine: str, policy: PolicyLike) -> str:
@@ -118,10 +86,9 @@ def choose_engine(engine: str, policy: PolicyLike) -> str:
     covered = kernel_kind(instance) is not None
     if engine == ENGINE_FAST:
         if not covered:
-            supported = ", ".join(FAST_POLICIES)
             raise SimulationError(
-                f"policy {instance.name!r} is not covered by the fast engine "
-                f"(covered: {supported}); use --engine auto or reference"
+                f"policy {instance.name!r} ({type(instance).__name__}) is not "
+                "covered by the fast engine; use --engine auto or reference"
             )
         return ENGINE_FAST
     return ENGINE_FAST if covered else ENGINE_REFERENCE

@@ -14,7 +14,7 @@ than silently degrade) to run a policy without a kernel — engine
 from __future__ import annotations
 
 import time
-from typing import FrozenSet, Iterable, Optional
+from typing import FrozenSet, Optional
 
 import numpy as np
 
@@ -39,12 +39,11 @@ def fast_simulate_trace(
     trace: Trace,
     policy: PolicyLike,
     llc_config: Optional[LLCConfig] = None,
-    uncached_streams: Optional[Iterable[Stream]] = None,
     spans: Optional[SpanRecorder] = None,
     observer=None,
 ) -> SimResult:
     """Replay ``trace`` under ``policy`` through the fast engine."""
-    record = fast_replay(trace, policy, llc_config, uncached_streams, spans)
+    record = fast_replay(trace, policy, llc_config, spans)
     if observer is not None:
         geometry = CacheGeometry.from_config(llc_config or LLCConfig())
         observer.observe(trace, record, geometry)
@@ -55,7 +54,6 @@ def fast_replay(
     trace: Trace,
     policy: PolicyLike,
     llc_config: Optional[LLCConfig] = None,
-    uncached_streams: Optional[Iterable[Stream]] = None,
     spans: Optional[SpanRecorder] = None,
 ) -> Replay:
     """:func:`fast_simulate_trace` plus the kernel's replay record.
@@ -67,7 +65,7 @@ def fast_replay(
     """
     if spans is None:
         spans = SpanRecorder()
-    instance, uncached = resolve_policy(policy, uncached_streams)
+    instance, uncached = resolve_policy(policy)
     kind = kernel_kind(instance)
     if kind is None:
         raise SimulationError(
@@ -118,7 +116,6 @@ def fast_replay(
             counters, trace, outcomes, uncached, geometry.block_bits
         ),
         accesses=len(trace),
-        elapsed_seconds=setup_seconds + replay_seconds,
         setup_seconds=setup_seconds,
         replay_seconds=replay_seconds,
         trace_meta=dict(trace.meta),
@@ -185,8 +182,7 @@ def _assemble_stats(
     stats.writebacks = writebacks
     produced, consumed = rt_transitions(trace, outcomes, block_bits)
     stats.rt_produced = int(np.count_nonzero(produced))
-    stats.rt_consumed = stats.tex_inter_hits = int(np.count_nonzero(consumed))
-    stats.tex_intra_hits = stats.class_hits(StreamClass.TEX) - stats.rt_consumed
+    stats.rt_consumed = int(np.count_nonzero(consumed))
     stats.dram_reads = stats.fills + sum(bypasses) - uncached_writes
     stats.dram_writes = writebacks + sum(bypass_writes)
     return stats

@@ -12,7 +12,7 @@ did this".
 The pieces:
 
 * :class:`TraceContext` — frozen, picklable identity
-  ``(run_id, job_id, attempt, parent_span_id)`` with dict round-trip
+  ``(run_id, job_id, attempt)`` with dict round-trip
   for process boundaries.
 * :func:`activate` / :func:`current` / :func:`deactivate` — the
   process-wide current context (what :mod:`repro.obs.log` stamps onto
@@ -39,7 +39,7 @@ from typing import Dict, Mapping, Optional
 from repro.errors import ObservabilityError
 
 #: Keys of the serialized context dict (empty values are dropped).
-CONTEXT_KEYS = ("run_id", "job_id", "attempt", "parent_span_id")
+CONTEXT_KEYS = ("run_id", "job_id", "attempt")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,7 +49,6 @@ class TraceContext:
     run_id: str
     job_id: str = ""
     attempt: int = 0
-    parent_span_id: str = ""
 
     def __post_init__(self) -> None:
         if not self.run_id:
@@ -64,19 +63,9 @@ class TraceContext:
         """A fresh run-level context (called once per CLI invocation)."""
         return cls(run_id=f"{prefix}-{uuid.uuid4().hex[:12]}")
 
-    def child(
-        self,
-        job_id: str,
-        attempt: int = 1,
-        parent_span_id: str = "",
-    ) -> "TraceContext":
+    def child(self, job_id: str, attempt: int = 1) -> "TraceContext":
         """The context one job attempt runs under."""
-        return TraceContext(
-            run_id=self.run_id,
-            job_id=job_id,
-            attempt=attempt,
-            parent_span_id=parent_span_id or self.parent_span_id,
-        )
+        return TraceContext(run_id=self.run_id, job_id=job_id, attempt=attempt)
 
     def to_dict(self) -> Dict[str, object]:
         """Pickle/JSON-safe form; falsy fields are omitted."""
@@ -85,8 +74,6 @@ class TraceContext:
             data["job_id"] = self.job_id
         if self.attempt:
             data["attempt"] = self.attempt
-        if self.parent_span_id:
-            data["parent_span_id"] = self.parent_span_id
         return data
 
     @classmethod
@@ -103,7 +90,6 @@ class TraceContext:
             run_id=str(data.get("run_id", "")),
             job_id=str(data.get("job_id", "")),
             attempt=int(data.get("attempt", 0)),  # type: ignore[arg-type]
-            parent_span_id=str(data.get("parent_span_id", "")),
         )
 
 

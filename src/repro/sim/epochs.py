@@ -12,7 +12,7 @@ streams under Belady's optimal policy.
 A texture life that starts at a consumption reads the LLC's RT bit,
 which :func:`rt_transitions` derives from a replay record.  It is the
 one derivation of that bit outside the reference :class:`~repro.cache.llc.LLC`:
-the fast engine's four inter-stream ``LLCStats`` fields, the epoch
+the fast engine's two RT-bit ``LLCStats`` counts, the epoch
 tracker and :func:`repro.analysis.phases.phase_profile` all read its
 masks.
 """

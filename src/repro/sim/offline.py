@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import array
 import time
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.errors import SimulationError
 from repro.obs.spans import SpanRecorder
 from repro.sim.future import next_use_indices
 from repro.sim.results import Replay, SimResult
-from repro.streams import Stream, StreamClass
+from repro.streams import StreamClass
 from repro.trace.record import Trace
 
 __all__ = [
@@ -38,13 +38,10 @@ __all__ = [
 
 
 def build_llc(
-    policy: PolicyLike,
-    llc_config: Optional[LLCConfig] = None,
-    uncached_streams: Optional[Iterable[Stream]] = None,
-    writeback_sink=None,
+    policy: PolicyLike, llc_config: Optional[LLCConfig] = None, writeback_sink=None
 ) -> LLC:
     """Construct an LLC ready to digest a trace."""
-    instance, uncached = resolve_policy(policy, uncached_streams)
+    instance, uncached = resolve_policy(policy)
     geometry = CacheGeometry.from_config(llc_config or LLCConfig())
     return LLC(
         geometry, instance, uncached_streams=uncached, writeback_sink=writeback_sink
@@ -55,18 +52,18 @@ def simulate_trace(
     trace: Trace,
     policy: PolicyLike,
     llc_config: Optional[LLCConfig] = None,
-    uncached_streams: Optional[Iterable[Stream]] = None,
     observer=None,
     spans: Optional[SpanRecorder] = None,
     engine: str = "auto",
 ) -> SimResult:
     """Replay ``trace`` under ``policy`` and collect statistics.
 
-    ``policy`` may be a registry name (``"gspc+ucd"``), a
-    :class:`~repro.core.registry.PolicySpec`, or a bound-ready policy
-    instance.  Belady's OPT automatically receives precomputed next-use
-    information.  ``spans``, if given, records the setup/replay phase
-    breakdown into the caller's :class:`~repro.obs.spans.SpanRecorder`.
+    ``policy`` is a registry name (``"gspc+ucd"``; its ``+ucd`` suffix
+    keeps displayable color out of the LLC) or a bound-ready policy
+    instance, which caches every stream.  Belady's OPT automatically
+    receives precomputed next-use information.  ``spans``, if given,
+    records the setup/replay phase breakdown into the caller's
+    :class:`~repro.obs.spans.SpanRecorder`.
 
     ``observer``, if given, is called once after the replay as
     ``observer.observe(trace, record, geometry)`` with the run's
@@ -87,9 +84,9 @@ def simulate_trace(
 
     if choose_engine(engine, policy) == ENGINE_FAST:
         return fast_simulate_trace(
-            trace, policy, llc_config, uncached_streams, spans, observer
+            trace, policy, llc_config, spans=spans, observer=observer
         )
-    record = _reference(trace, policy, llc_config, uncached_streams, spans)
+    record = _reference(trace, policy, llc_config, spans)
     if observer is not None:
         geometry = CacheGeometry.from_config(llc_config or LLCConfig())
         observer.observe(trace, record, geometry)
@@ -146,7 +143,6 @@ def _reference(
     trace: Trace,
     policy: PolicyLike,
     llc_config: Optional[LLCConfig] = None,
-    uncached_streams: Optional[Iterable[Stream]] = None,
     spans: Optional[SpanRecorder] = None,
 ) -> Replay:
     """The reference engine: one hook-driven ``LLC.access`` per access."""
@@ -155,7 +151,7 @@ def _reference(
     # Evicting access index -> dirty victim address, in eviction order
     # (an access evicts at most one block).
     victims: Dict[int, int] = {}
-    llc = build_llc(policy, llc_config, uncached_streams, victims.__setitem__)
+    llc = build_llc(policy, llc_config, victims.__setitem__)
     # Setup covers the array conversions and the next-use precompute —
     # separate from replay so Belady runs don't report inflated replay
     # time (the precompute alone can dominate).
@@ -189,7 +185,6 @@ def _reference(
         policy=llc.policy.name,
         stats=llc.stats,
         accesses=len(trace),
-        elapsed_seconds=setup_seconds + replay_seconds,
         setup_seconds=setup_seconds,
         replay_seconds=replay_seconds,
         trace_meta=dict(trace.meta),

@@ -18,8 +18,6 @@ class SimResult:
     policy: str
     stats: LLCStats
     accesses: int
-    #: Wall-clock total (``setup_seconds + replay_seconds``).
-    elapsed_seconds: float = 0.0
     #: Pre-replay work: array conversions and (for Belady) the
     #: next-use precompute.  Kept separate so policies that need future
     #: knowledge do not report inflated replay time.
@@ -29,6 +27,10 @@ class SimResult:
     trace_meta: Mapping[str, object] = dataclasses.field(default_factory=dict)
     #: Policy-specific extras (e.g. DRRIP fill-RRPV fractions, epoch data).
     extras: Dict[str, object] = dataclasses.field(default_factory=dict)
+
+    @property
+    def elapsed_seconds(self) -> float:
+        return self.setup_seconds + self.replay_seconds
 
     @property
     def misses(self) -> int:

@@ -7,17 +7,12 @@ from hypothesis import strategies as st
 
 from repro.config import KB, CacheParams, LLCConfig
 from repro.core.gspc import GSPCPolicy
-from repro.core.registry import available_policies, make_policy
+from repro.core.registry import available_policies, make_policy, resolve_policy
 from repro.core.rrip import RRIPPolicy
 from repro.errors import SimulationError
-from repro.fastsim import (
-    ENGINES,
-    FAST_POLICIES,
-    choose_engine,
-    fast_simulate_trace,
-    supports_policy,
-)
+from repro.fastsim import ENGINES, choose_engine, fast_simulate_trace
 from repro.fastsim.decode import mix_bits_array
+from repro.fastsim.dispatch import kernel_kind
 from repro.fastsim.kernels import _SPECS, kernel_for, kernel_source
 from repro.obs.events import sample_events
 from repro.sim.epochs import EpochTracker
@@ -67,7 +62,7 @@ def _fingerprint(result):
 
 
 @settings(max_examples=25, deadline=None)
-@given(entries=small_traces, policy=st.sampled_from(FAST_POLICIES))
+@given(entries=small_traces, policy=st.sampled_from(available_policies()))
 def test_fast_engine_matches_reference(entries, policy):
     """Identical SimResult stats/extras on arbitrary small traces, and
     identical epoch statistics read off each engine's replay record."""
@@ -81,7 +76,7 @@ def test_fast_engine_matches_reference(entries, policy):
     assert fast.stats == reference.stats
 
 
-@pytest.mark.parametrize("policy", [name + "+ucd" for name in FAST_POLICIES])
+@pytest.mark.parametrize("policy", [name + "+ucd" for name in available_policies()])
 def test_fast_engine_matches_reference_with_uncached_streams(policy):
     """Static color/depth bypass accounting matches per stream."""
     trace = synth.interleaved_streams(
@@ -127,7 +122,7 @@ def test_fast_engine_matches_reference_on_rt_tex_pattern():
 
 
 RRIP_NAMES = tuple(
-    name for name in FAST_POLICIES if isinstance(make_policy(name), RRIPPolicy)
+    name for name in available_policies() if isinstance(make_policy(name), RRIPPolicy)
 )
 #: 16 sets of 4 ways: set 1 is a follower of every GSPC-family sampler,
 #: set 0 one of its sample sets.
@@ -210,19 +205,19 @@ def test_fast_result_reports_timing_and_meta():
 
 def test_engines_tuple_and_coverage():
     assert ENGINES == ("reference", "fast", "auto")
-    for policy in FAST_POLICIES:
-        assert supports_policy(policy)
-        assert supports_policy(policy + "+ucd")
     for policy in ("gspc+bypass", "ship-mem", "gs-drrip", "brrip", "dip"):
-        assert supports_policy(policy)
-    assert not supports_policy(TweakedGSPC())
+        assert choose_engine("fast", policy) == "fast"
+    assert kernel_kind(TweakedGSPC()) is None
 
 
-def test_fast_policies_derived_from_registry():
-    """The covered list tracks the registry, not a hand-written tuple,
-    and every registry name has a kernel."""
-    assert FAST_POLICIES == available_policies()
-    assert "gspc+bypass" in FAST_POLICIES
+def test_every_registry_name_has_a_kernel():
+    """Each registry name, with and without ``+ucd``, builds an instance
+    whose exact class has a kernel, so ``auto`` never falls back for a
+    name."""
+    for name in available_policies():
+        for policy in (name, name + "+ucd"):
+            instance, _ = resolve_policy(policy)
+            assert kernel_kind(instance) is not None, policy
 
 
 def test_choose_engine_auto_falls_back_for_uncovered_policy():
@@ -270,18 +265,17 @@ def test_choose_engine_fast_rejects_uncovered_policy():
         choose_engine("fast", TweakedGSPC())
     message = str(excinfo.value)
     assert "not covered" in message
-    # The message enumerates the covered policies dynamically.
-    for name in FAST_POLICIES:
-        assert name in message
+    assert "TweakedGSPC" in message
 
 
 def test_gspc_subclass_with_overridden_hooks_takes_reference_path():
     """Exact-type dispatch: a subclass's hook overrides must run."""
-    assert supports_policy(GSPCPolicy())
-    assert not supports_policy(TweakedGSPC())
+    assert kernel_kind(GSPCPolicy()) == "gspc"
+    assert kernel_kind(TweakedGSPC()) is None
+    assert choose_engine("auto", GSPCPolicy()) == "fast"
     assert choose_engine("auto", TweakedGSPC()) == "reference"
     # A registry-named subclass has a kernel of its own.
-    assert supports_policy("gspc+bypass")
+    assert kernel_kind(resolve_policy("gspc+bypass")[0]) == "gspc_bypass"
 
 
 def test_choose_engine_fast_accepts_observer():

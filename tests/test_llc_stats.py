@@ -49,8 +49,10 @@ def test_consumption_rate_zero_without_production():
 
 def test_tex_inter_fraction():
     stats = LLCStats()
-    stats.tex_inter_hits = 3
-    stats.tex_intra_hits = 1
+    stats.per_stream[Stream.TEXTURE].hits = 4
+    stats.rt_consumed = 3
+    assert stats.tex_inter_hits == 3
+    assert stats.tex_intra_hits == 1
     assert stats.tex_inter_fraction == pytest.approx(0.75)
     assert LLCStats().tex_inter_fraction == 0.0
 

@@ -49,7 +49,6 @@ def test_dict_roundtrip_across_process_boundary():
     assert json.loads(json.dumps(data)) == data  # JSON-clean
     assert TraceContext.from_dict(data) == ctx
     # Falsy fields are dropped from the wire format.
-    assert "parent_span_id" not in data
     assert set(TraceContext.new_run("r").to_dict()) == {"run_id"}
 
 

@@ -24,7 +24,7 @@ import pytest
 
 from repro.config import paper_baseline
 from repro.core.base import NEVER
-from repro.fastsim import FAST_POLICIES
+from repro.core.registry import available_policies
 from repro.obs.events import sample_events
 from repro.sim.epochs import EpochTracker, rt_transitions
 from repro.sim.future import next_use_indices
@@ -40,7 +40,9 @@ with open(
     PINNED = json.load(_handle)
 
 PERIODS = (1, 7, 64)
-COVERED = [name + suffix for name in FAST_POLICIES for suffix in ("", "+ucd")]
+COVERED = [
+    name + suffix for name in available_policies() for suffix in ("", "+ucd")
+]
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.config import CacheParams, KB, LLCConfig
-from repro.core.registry import policy_spec
 from repro.core.srrip import SRRIPPolicy
 from repro.sim.offline import simulate_trace
 from repro.streams import Stream
@@ -12,12 +11,11 @@ from repro.trace import synth
 from helpers import make_trace
 
 
-def test_accepts_name_spec_and_instance(small_llc_config):
+def test_accepts_name_and_instance(small_llc_config):
     trace = synth.cyclic_scan(64, 2)
     by_name = simulate_trace(trace, "srrip", small_llc_config)
-    by_spec = simulate_trace(trace, policy_spec("srrip"), small_llc_config)
     by_instance = simulate_trace(trace, SRRIPPolicy(), small_llc_config)
-    assert by_name.misses == by_spec.misses == by_instance.misses
+    assert by_name.misses == by_instance.misses
 
 
 def test_results_deterministic(small_llc_config):
@@ -49,14 +47,6 @@ def test_ucd_policy_bypasses_display(small_llc_config):
     result = simulate_trace(trace, "drrip+ucd", small_llc_config)
     assert result.stats.per_stream[Stream.DISPLAY].bypasses == 16
     assert result.stats.per_stream[Stream.RT].misses == 16
-
-
-def test_uncached_override(small_llc_config):
-    trace = make_trace([(i, Stream.VERTEX) for i in range(8)])
-    result = simulate_trace(
-        trace, "drrip", small_llc_config, uncached_streams={Stream.VERTEX}
-    )
-    assert result.stats.per_stream[Stream.VERTEX].bypasses == 8
 
 
 def test_belady_gets_future_automatically(small_llc_config):

@@ -26,9 +26,8 @@ from repro.cache.llc import BYPASS, HIT, MISS
 from repro.config import CacheParams, KB, LLCConfig, paper_baseline
 from repro.core.gs_drrip import GSDRRIPPolicy
 from repro.core.gspc_bypass import GSPCBypassPolicy
-from repro.core.registry import _int_parameters, policy_spec
+from repro.core.registry import _int_parameters, available_policies, policy_spec
 from repro.errors import SimulationError
-from repro.fastsim import FAST_POLICIES
 from repro.gpu.detailed import DetailedGPUSimulator
 from repro.gpu.timing import WINDOW_ACCESSES, FrameTimingSimulator
 from repro.sim.offline import replay, simulate_trace
@@ -44,7 +43,9 @@ with open(
 ) as _handle:
     PINNED = json.load(_handle)
 
-COVERED = [name + suffix for name in FAST_POLICIES for suffix in ("", "+ucd")]
+COVERED = [
+    name + suffix for name in available_policies() for suffix in ("", "+ucd")
+]
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +138,7 @@ NON_DEFAULT = {
 }
 EXPOSED = [
     f"{name}({key}={NON_DEFAULT[key]})"
-    for name in FAST_POLICIES
+    for name in available_policies()
     for key in sorted(_int_parameters(policy_spec(name).factory))
 ]
 
