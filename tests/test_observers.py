@@ -40,9 +40,7 @@ with open(
     PINNED = json.load(_handle)
 
 PERIODS = (1, 7, 64)
-COVERED = [
-    name + suffix for name in available_policies() for suffix in ("", "+ucd")
-]
+COVERED = [name + suffix for name in available_policies() for suffix in ("", "+ucd")]
 
 
 @pytest.fixture(scope="module")

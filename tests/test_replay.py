@@ -43,9 +43,7 @@ with open(
 ) as _handle:
     PINNED = json.load(_handle)
 
-COVERED = [
-    name + suffix for name in available_policies() for suffix in ("", "+ucd")
-]
+COVERED = [name + suffix for name in available_policies() for suffix in ("", "+ucd")]
 
 
 @pytest.fixture(scope="module")
